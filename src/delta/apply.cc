@@ -19,25 +19,33 @@ struct Attachment {
   uint64_t seq = 0;  // Stable tiebreak for diagnostics.
 };
 
+using XidIndex = std::unordered_map<Xid, XmlNode*>;
+
+/// One delta application against a document whose XID index the caller
+/// owns and keeps current across applications (DeltaPathApplicator).
 class Applier {
  public:
-  Applier(const Delta& delta, XmlDocument* doc, const ApplyOptions& options)
-      : delta_(delta), doc_(doc), options_(options) {}
+  Applier(const Delta& delta, XmlDocument* doc, const ApplyOptions& options,
+          XidIndex* index, size_t* nodes_indexed)
+      : delta_(delta),
+        doc_(doc),
+        options_(options),
+        index_(*index),
+        nodes_indexed_(*nodes_indexed) {}
 
   Status Run() {
     if (doc_->root() == nullptr) {
       return Status::InvalidArgument("cannot apply a delta to an empty document");
     }
     // Virtual super-root (XID 0) so root replacement needs no special case.
-    // It is created in the document's own memory domain: a heap super-root
-    // over an arena-backed tree would force AppendChild to adoption-clone
-    // the entire document.
-    doc_domain_ = doc_->arena();
+    // It is created in the tree's own memory domain: a super-root in any
+    // other domain would make AppendChild adoption-clone the entire tree,
+    // which costs a copy and leaves every pointer in index_ dangling.
+    doc_domain_ = doc_->root()->domain();
     super_root_ = doc_domain_ != nullptr
                       ? XmlNode::ElementIn(doc_domain_, "#document")
                       : XmlNode::Element("#document");
     super_root_->AppendChild(doc_->take_root());
-    BuildIndex();
 
     Status status = RunPhases();
     if (!status.ok()) {
@@ -71,13 +79,6 @@ class Applier {
   }
 
  private:
-  void BuildIndex() {
-    index_.clear();
-    super_root_->Visit([&](XmlNode* n) {
-      if (n != super_root_.get()) index_.emplace(n->xid(), n);
-    });
-  }
-
   Result<XmlNode*> Lookup(Xid xid, const char* what) {
     if (xid == kNoXid) return static_cast<XmlNode*>(super_root_.get());
     auto it = index_.find(xid);
@@ -225,6 +226,7 @@ class Applier {
       subtree->Visit([&](XmlNode* n) {
         auto [it, inserted] = index_.emplace(n->xid(), n);
         (void)it;  // Only the insertion outcome matters here.
+        if (inserted) ++nodes_indexed_;
         if (!inserted && conflict.ok() && options_.verify) {
           conflict = Status::Conflict("insert introduces duplicate XID " +
                                       std::to_string(n->xid()));
@@ -277,7 +279,8 @@ class Applier {
   ApplyOptions options_;
   XmlNodePtr super_root_;
   Arena* doc_domain_ = nullptr;
-  std::unordered_map<Xid, XmlNode*> index_;
+  XidIndex& index_;
+  size_t& nodes_indexed_;
   std::vector<Attachment> attachments_;
   uint64_t seq_ = 0;
 };
@@ -286,8 +289,10 @@ class Applier {
 
 Status ApplyDelta(const Delta& delta, XmlDocument* doc,
                   const ApplyOptions& options) {
-  Applier applier(delta, doc, options);
-  return applier.Run();
+  DeltaPathApplicator path(std::move(*doc), options);
+  Status status = path.Push(delta);
+  *doc = std::move(path).Finish();
+  return status;
 }
 
 Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
@@ -295,12 +300,23 @@ Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
   return ApplyDelta(InvertDelta(delta), doc, options);
 }
 
+DeltaPathApplicator::DeltaPathApplicator(XmlDocument base,
+                                         const ApplyOptions& options)
+    : doc_(std::move(base)),
+      options_(options),
+      index_(doc_.BuildXidIndex()),
+      nodes_indexed_(index_.size()) {}
+
 Status DeltaPathApplicator::Push(const Delta& delta, bool inverse) {
-  ApplyOptions options;
-  options.verify = false;
+  if (!status_.ok()) return status_;
   ++applications_;
-  return inverse ? ApplyDeltaInverse(delta, &doc_, options)
-                 : ApplyDelta(delta, &doc_, options);
+  if (inverse) {
+    const Delta inverted = InvertDelta(delta);
+    status_ = Applier(inverted, &doc_, options_, &index_, &nodes_indexed_).Run();
+  } else {
+    status_ = Applier(delta, &doc_, options_, &index_, &nodes_indexed_).Run();
+  }
+  return status_;
 }
 
 }  // namespace xydiff

@@ -1,6 +1,8 @@
 #ifndef XYDIFF_DELTA_APPLY_H_
 #define XYDIFF_DELTA_APPLY_H_
 
+#include <unordered_map>
+
 #include "delta/delta.h"
 #include "util/status.h"
 #include "xml/document.h"
@@ -55,33 +57,60 @@ Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
 /// threaded through the whole path instead of materializing every
 /// intermediate version as its own tree. Used by the version store's
 /// reconstruction (version/repository.h), whose checkpoint + skip-delta
-/// plan is exactly such a path.
+/// plan is exactly such a path, by its recovery-time chain replay, by
+/// ComposeDeltas, and (as a one-hop path) by ApplyDelta itself.
 ///
-/// Per-step verification is off: the store proves chain integrity when
-/// it loads (CRC-64 per file plus a chain replay on any degradation),
-/// and re-checking every snapshot at every hop would cost more than the
-/// application itself. Apply the path to a throwaway clone when a step
-/// may legitimately fail.
+/// The XID -> node index that every application needs is state of the
+/// path, not of one hop: it is built once from the base document, and
+/// each Push maintains it — deletes erase the removed subtree's XIDs,
+/// inserted snapshots register theirs. A path therefore costs one index
+/// build plus the sizes of its deltas, not one document walk per hop.
+/// The index holds raw node pointers, which stay valid across hops
+/// because moves and attachments never clone (snapshots are cloned into
+/// the document's domain before they are registered).
+///
+/// A failed Push may leave the document half-modified and the index
+/// stale, so the first error is sticky: every later Push returns it
+/// without touching the document or the index.
+///
+/// Per-step verification is off by default: the store proves chain
+/// integrity when it loads (CRC-64 per file plus a chain replay on any
+/// degradation), and re-checking every snapshot at every hop would cost
+/// more than the application itself. Pass verifying ApplyOptions where a
+/// step may legitimately fail and the failure must be caught.
 class DeltaPathApplicator {
  public:
-  /// Starts from `base` — the version at the beginning of the path.
-  explicit DeltaPathApplicator(XmlDocument base) : doc_(std::move(base)) {}
+  /// Starts from `base` — the version at the beginning of the path — and
+  /// indexes its nodes.
+  explicit DeltaPathApplicator(XmlDocument base,
+                               const ApplyOptions& options = {.verify = false});
 
   DeltaPathApplicator(const DeltaPathApplicator&) = delete;
   DeltaPathApplicator& operator=(const DeltaPathApplicator&) = delete;
 
-  /// Applies one more delta of the path (inverted when `inverse`).
+  /// Applies one more delta of the path (inverted when `inverse`). After
+  /// a failure, returns that first error and does nothing.
   Status Push(const Delta& delta, bool inverse = false);
 
-  /// Number of delta applications performed so far.
+  /// Number of delta applications attempted so far.
   size_t applications() const { return applications_; }
 
-  /// Hands back the document at the end of the path.
+  /// Nodes registered in the XID index so far: the base document's nodes
+  /// plus every node of every inserted snapshot. A deterministic measure
+  /// of the path's indexing work.
+  size_t nodes_indexed() const { return nodes_indexed_; }
+
+  /// Hands back the document at the end of the path (partially modified
+  /// when a Push failed).
   XmlDocument Finish() && { return std::move(doc_); }
 
  private:
   XmlDocument doc_;
+  ApplyOptions options_;
+  std::unordered_map<Xid, XmlNode*> index_;
+  Status status_;
   size_t applications_ = 0;
+  size_t nodes_indexed_ = 0;
 };
 
 }  // namespace xydiff

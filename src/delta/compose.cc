@@ -65,9 +65,10 @@ Result<Delta> DeltaFromXidCorrespondence(XmlDocument* from, XmlDocument* to,
 Result<Delta> ComposeDeltas(const XmlDocument& base, const Delta& d1,
                             const Delta& d2, const DiffOptions& options) {
   XmlDocument source = base.Clone();
-  XmlDocument work = base.Clone();
-  XYDIFF_RETURN_IF_ERROR(ApplyDelta(d1, &work));
-  XYDIFF_RETURN_IF_ERROR(ApplyDelta(d2, &work));
+  DeltaPathApplicator path(base.Clone(), ApplyOptions{});
+  XYDIFF_RETURN_IF_ERROR(path.Push(d1));
+  XYDIFF_RETURN_IF_ERROR(path.Push(d2));
+  XmlDocument work = std::move(path).Finish();
   Result<Delta> composed = DeltaFromXidCorrespondence(&source, &work, options);
   if (!composed.ok()) return composed.status();
   composed->set_old_next_xid(d1.old_next_xid());

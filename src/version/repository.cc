@@ -177,6 +177,7 @@ Result<XmlDocument> VersionRepository::Checkout(int version,
     }
     if (stats != nullptr) {
       stats->applications = applicator.applications();
+      stats->nodes_indexed = applicator.nodes_indexed();
       stats->forward = true;
     }
     return std::move(applicator).Finish();
@@ -189,7 +190,10 @@ Result<XmlDocument> VersionRepository::Checkout(int version,
     XYDIFF_RETURN_IF_ERROR(applicator.Push(
         deltas_[static_cast<size_t>(v) - 2], /*inverse=*/true));
   }
-  if (stats != nullptr) stats->applications = applicator.applications();
+  if (stats != nullptr) {
+    stats->applications = applicator.applications();
+    stats->nodes_indexed = applicator.nodes_indexed();
+  }
   return std::move(applicator).Finish();
 }
 

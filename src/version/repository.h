@@ -35,8 +35,10 @@ struct ReconstructionIndex {
 
 /// What one Checkout cost and which path it took.
 struct CheckoutStats {
-  size_t applications = 0;  ///< Delta applications performed.
-  bool forward = false;     ///< Checkpoint + skip path (vs backward replay).
+  size_t applications = 0;   ///< Delta applications performed.
+  size_t nodes_indexed = 0;  ///< XID index registrations (see
+                             ///< DeltaPathApplicator::nodes_indexed).
+  bool forward = false;      ///< Checkpoint + skip path (vs backward replay).
 };
 
 /// Change-centric version storage (§2, Figure 1; after [19]).

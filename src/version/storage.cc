@@ -346,9 +346,10 @@ void CleanupUnreferenced(const std::string& directory,
 size_t VerifyChainApplies(const XmlDocument& current,
                           const std::vector<Delta>& deltas,
                           size_t file_index_base, RecoveryReport* report) {
-  XmlDocument doc = current.Clone();
+  // Verified replay: recovery is exactly where a step may fail.
+  DeltaPathApplicator replay(current.Clone(), ApplyOptions{});
   for (size_t j = deltas.size(); j > 0; --j) {
-    const Status applied = ApplyDeltaInverse(deltas[j - 1], &doc);
+    const Status applied = replay.Push(deltas[j - 1], /*inverse=*/true);
     if (!applied.ok()) {
       report->notes.push_back(
           "chain delta " + std::to_string(file_index_base + j) +

@@ -229,6 +229,41 @@ TEST(RepositoryTest, EnsureActivatesIndexOnExistingChain) {
   ASSERT_EQ(index.levels.size(), 3u);
 }
 
+TEST(RepositoryTest, CheckoutIndexesEachNodeOncePerPath) {
+  Rng rng(35);
+  DocGenOptions gen;
+  gen.target_bytes = 2048;
+  VersionRepository repo(GenerateDocument(&rng, gen));
+  const std::vector<XmlDocument> snapshots = Grow(&repo, 63, &rng);
+  ASSERT_EQ(repo.version_count(), 64);
+  const size_t start_nodes = repo.current().node_count();
+
+  // Backward replay to `version` re-inserts what the undone hops deleted;
+  // those snapshots are the only nodes the path may index beyond the
+  // starting document. Re-indexing the document per hop would instead
+  // cost about hops x nodes.
+  size_t inserted = 0;
+  for (int version = repo.version_count() - 1; version >= 1; --version) {
+    for (const DeleteOp& op : repo.deltas()[static_cast<size_t>(version) - 1]
+                                  .deletes()) {
+      inserted += op.subtree->SubtreeSize();
+    }
+    CheckoutStats stats;
+    Result<XmlDocument> doc = repo.Checkout(version, &stats);
+    ASSERT_TRUE(doc.ok()) << "version " << version;
+    ASSERT_FALSE(stats.forward);
+    EXPECT_EQ(stats.applications,
+              static_cast<size_t>(repo.version_count() - version));
+    EXPECT_LE(stats.nodes_indexed, start_nodes + inserted)
+        << "version " << version;
+    EXPECT_GE(stats.nodes_indexed, start_nodes);
+    if (version == 1) {
+      EXPECT_TRUE(DocsEqualWithXids(*doc, snapshots[0]));
+      EXPECT_LT(stats.nodes_indexed, stats.applications * start_nodes / 4);
+    }
+  }
+}
+
 TEST(RepositoryTest, ForwardAndBackwardPathsAgreeEverywhere) {
   Rng rng(34);
   DocGenOptions gen;
