@@ -64,7 +64,7 @@ int main() {
       ("xydiff_bench_faults_" + std::to_string(::getpid()));
   const std::string store = dir.string();
 
-  const VersionRepository before = MakeRepo(271828, 3, 4096);
+  VersionRepository before = MakeRepo(271828, 3, 4096);
   VersionRepository after = MakeRepo(271828, 3, 4096);
   {
     Rng rng(314159);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "delta/invert.h"
 #include "xid/xid_map.h"
 #include "xml/xid_map_tree.h"
 
@@ -23,11 +22,19 @@ using XidIndex = std::unordered_map<Xid, XmlNode*>;
 
 /// One delta application against a document whose XID index the caller
 /// owns and keeps current across applications (DeltaPathApplicator).
+///
+/// With `inverse` the forward delta is read with its roles swapped —
+/// inserts are deleted and deletes inserted (same snapshots, same order),
+/// update and attribute values run new -> old, attribute inserts become
+/// deletes and vice versa, moves go back from `to` to `from`, and the
+/// allocator ends at `old_next_xid` — which is exactly what
+/// InvertDelta(delta) would record, without copying it.
 class Applier {
  public:
-  Applier(const Delta& delta, XmlDocument* doc, const ApplyOptions& options,
-          XidIndex* index, size_t* nodes_indexed)
+  Applier(const Delta& delta, bool inverse, XmlDocument* doc,
+          const ApplyOptions& options, XidIndex* index, size_t* nodes_indexed)
       : delta_(delta),
+        inverse_(inverse),
         doc_(doc),
         options_(options),
         index_(*index),
@@ -64,8 +71,9 @@ class Applier {
                                 std::to_string(roots) + " roots");
     }
     doc_->set_root(super_root_->RemoveChild(0));
-    doc_->ReserveXidsThrough(
-        delta_.new_next_xid() > 0 ? delta_.new_next_xid() - 1 : 0);
+    const Xid next_xid =
+        inverse_ ? delta_.old_next_xid() : delta_.new_next_xid();
+    doc_->ReserveXidsThrough(next_xid > 0 ? next_xid - 1 : 0);
     return Status::OK();
   }
 
@@ -74,8 +82,9 @@ class Applier {
     XYDIFF_RETURN_IF_ERROR(ApplyUpdates());
     XYDIFF_RETURN_IF_ERROR(ApplyAttributeOps());
     XYDIFF_RETURN_IF_ERROR(DetachMoves());
-    XYDIFF_RETURN_IF_ERROR(ApplyDeletes());
-    return Attach();
+    XYDIFF_RETURN_IF_ERROR(inverse_ ? ApplyDeletes(delta_.inserts())
+                                    : ApplyDeletes(delta_.deletes()));
+    return inverse_ ? Attach(delta_.deletes()) : Attach(delta_.inserts());
   }
 
  private:
@@ -98,29 +107,31 @@ class Applier {
                                 " is not a text node");
       }
       const std::string_view current = (*node)->text();
+      const std::string& from = inverse_ ? op.new_value : op.old_value;
+      const std::string& to = inverse_ ? op.old_value : op.new_value;
       if (!op.is_compressed()) {
-        if (options_.verify && current != op.old_value) {
+        if (options_.verify && current != from) {
           return Status::Conflict("update of XID " + std::to_string(op.xid) +
                                   ": old value mismatch");
         }
-        (*node)->set_text(op.new_value);
+        (*node)->set_text(to);
         continue;
       }
       // Compressed form: splice the new middle between the shared prefix
-      // and suffix taken from the current text.
+      // and suffix taken from the current text (their lengths do not
+      // depend on the direction).
       const size_t kept = static_cast<size_t>(op.prefix) + op.suffix;
-      if (current.size() != kept + op.old_value.size() ||
+      if (current.size() != kept + from.size() ||
           (options_.verify &&
-           current.compare(op.prefix, op.old_value.size(), op.old_value) !=
-               0)) {
+           current.compare(op.prefix, from.size(), from) != 0)) {
         return Status::Conflict("compressed update of XID " +
                                 std::to_string(op.xid) +
                                 ": old value mismatch");
       }
       std::string next;
-      next.reserve(kept + op.new_value.size());
+      next.reserve(kept + to.size());
       next.append(current, 0, op.prefix);
-      next.append(op.new_value);
+      next.append(to);
       next.append(current, current.size() - op.suffix, op.suffix);
       (*node)->set_text(std::move(next));
     }
@@ -138,18 +149,25 @@ class Applier {
                                 " is not an element");
       }
       const std::string_view* current = element->FindAttribute(op.name);
-      switch (op.kind) {
+      const std::string& from = inverse_ ? op.new_value : op.old_value;
+      const std::string& to = inverse_ ? op.old_value : op.new_value;
+      AttributeOpKind kind = op.kind;
+      if (inverse_ && kind == AttributeOpKind::kInsert) {
+        kind = AttributeOpKind::kDelete;
+      } else if (inverse_ && kind == AttributeOpKind::kDelete) {
+        kind = AttributeOpKind::kInsert;
+      }
+      switch (kind) {
         case AttributeOpKind::kInsert:
           if (options_.verify && current != nullptr) {
             return Status::Conflict("attribute insert: '" + op.name +
                                     "' already present on XID " +
                                     std::to_string(op.element_xid));
           }
-          element->SetAttribute(op.name, op.new_value);
+          element->SetAttribute(op.name, to);
           break;
         case AttributeOpKind::kDelete:
-          if (options_.verify &&
-              (current == nullptr || *current != op.old_value)) {
+          if (options_.verify && (current == nullptr || *current != from)) {
             return Status::Conflict("attribute delete: '" + op.name +
                                     "' state mismatch on XID " +
                                     std::to_string(op.element_xid));
@@ -157,13 +175,12 @@ class Applier {
           element->RemoveAttribute(op.name);
           break;
         case AttributeOpKind::kUpdate:
-          if (options_.verify &&
-              (current == nullptr || *current != op.old_value)) {
+          if (options_.verify && (current == nullptr || *current != from)) {
             return Status::Conflict("attribute update: '" + op.name +
                                     "' old value mismatch on XID " +
                                     std::to_string(op.element_xid));
           }
-          element->SetAttribute(op.name, op.new_value);
+          element->SetAttribute(op.name, to);
           break;
       }
     }
@@ -185,14 +202,19 @@ class Applier {
         return Status::Conflict("move source XID " + std::to_string(op.xid) +
                                 " detached twice");
       }
-      attachments_.push_back(Attachment{op.to_parent, op.to_pos,
-                                        Detach(*node), seq_++});
+      attachments_.push_back(
+          Attachment{inverse_ ? op.from_parent : op.to_parent,
+                     inverse_ ? op.from_pos : op.to_pos, Detach(*node),
+                     seq_++});
     }
     return Status::OK();
   }
 
-  Status ApplyDeletes() {
-    for (const DeleteOp& op : delta_.deletes()) {
+  /// Detaches the subtrees of `ops` (DeleteOps, or a forward delta's
+  /// InsertOps when applying its inverse).
+  template <typename SubtreeOp>
+  Status ApplyDeletes(const std::vector<SubtreeOp>& ops) {
+    for (const SubtreeOp& op : ops) {
       Result<XmlNode*> node = Lookup(op.xid, "delete");
       if (!node.ok()) return node.status();
       if ((*node)->parent() == nullptr) {
@@ -212,8 +234,11 @@ class Applier {
     return Status::OK();
   }
 
-  Status Attach() {
-    for (const InsertOp& op : delta_.inserts()) {
+  /// Attaches the snapshots of `ops` (InsertOps, or a forward delta's
+  /// DeleteOps when applying its inverse), then every detached move.
+  template <typename SubtreeOp>
+  Status Attach(const std::vector<SubtreeOp>& ops) {
+    for (const SubtreeOp& op : ops) {
       if (op.subtree == nullptr) {
         return Status::InvalidArgument("insert op without subtree snapshot");
       }
@@ -275,6 +300,7 @@ class Applier {
   }
 
   const Delta& delta_;
+  const bool inverse_;
   XmlDocument* doc_;
   ApplyOptions options_;
   XmlNodePtr super_root_;
@@ -285,19 +311,25 @@ class Applier {
   uint64_t seq_ = 0;
 };
 
-}  // namespace
-
-Status ApplyDelta(const Delta& delta, XmlDocument* doc,
-                  const ApplyOptions& options) {
+/// A single application is a one-hop path.
+Status ApplyOneHop(const Delta& delta, bool inverse, XmlDocument* doc,
+                   const ApplyOptions& options) {
   DeltaPathApplicator path(std::move(*doc), options);
-  Status status = path.Push(delta);
+  Status status = path.Push(delta, inverse);
   *doc = std::move(path).Finish();
   return status;
 }
 
+}  // namespace
+
+Status ApplyDelta(const Delta& delta, XmlDocument* doc,
+                  const ApplyOptions& options) {
+  return ApplyOneHop(delta, /*inverse=*/false, doc, options);
+}
+
 Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
                          const ApplyOptions& options) {
-  return ApplyDelta(InvertDelta(delta), doc, options);
+  return ApplyOneHop(delta, /*inverse=*/true, doc, options);
 }
 
 DeltaPathApplicator::DeltaPathApplicator(XmlDocument base,
@@ -310,12 +342,8 @@ DeltaPathApplicator::DeltaPathApplicator(XmlDocument base,
 Status DeltaPathApplicator::Push(const Delta& delta, bool inverse) {
   if (!status_.ok()) return status_;
   ++applications_;
-  if (inverse) {
-    const Delta inverted = InvertDelta(delta);
-    status_ = Applier(inverted, &doc_, options_, &index_, &nodes_indexed_).Run();
-  } else {
-    status_ = Applier(delta, &doc_, options_, &index_, &nodes_indexed_).Run();
-  }
+  status_ =
+      Applier(delta, inverse, &doc_, options_, &index_, &nodes_indexed_).Run();
   return status_;
 }
 

@@ -48,7 +48,10 @@ Status ApplyDelta(const Delta& delta, XmlDocument* doc,
 
 /// Applies the inverse of `delta` (target version -> source version).
 /// Equivalent to `ApplyDelta(InvertDelta(delta), doc)` without
-/// materializing the inverse.
+/// materializing the inverse: the forward delta's operations are read
+/// with their roles swapped (inserts deleted, deletes re-inserted from
+/// the same snapshots, values restored new -> old, moves sent back to
+/// their sources, the allocator left at `old_next_xid`).
 Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
                          const ApplyOptions& options = {});
 
@@ -88,7 +91,9 @@ class DeltaPathApplicator {
   DeltaPathApplicator(const DeltaPathApplicator&) = delete;
   DeltaPathApplicator& operator=(const DeltaPathApplicator&) = delete;
 
-  /// Applies one more delta of the path (inverted when `inverse`). After
+  /// Applies one more delta of the path (inverted when `inverse`). An
+  /// inverse hop reads `delta` in place, like ApplyDeltaInverse, so it
+  /// copies nothing of the delta beyond the snapshots it attaches. After
   /// a failure, returns that first error and does nothing.
   Status Push(const Delta& delta, bool inverse = false);
 

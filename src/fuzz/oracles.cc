@@ -184,7 +184,8 @@ void RoundtripOracle(const XmlDocument& doc, const char* which, Judge* judge) {
 
 /// Diffs base -> changed, then checks the completed-delta laws: apply
 /// reaches the target, inverse-apply returns to the source (XIDs
-/// included), double inversion is structurally identical, and the
+/// included), the in-place inverse (ApplyDeltaInverse) lands on the
+/// same document, double inversion is structurally identical, and the
 /// binary codec round-trips the delta byte-exactly.
 void InvertAndCodecOracles(const XmlDocument& base, const XmlDocument& changed,
                            const OracleOptions& options, Judge* judge) {
@@ -207,6 +208,9 @@ void InvertAndCodecOracles(const XmlDocument& base, const XmlDocument& changed,
       judge->Fail("invert", "forward apply failed: " + s.ToString());
       return;
     }
+    // ApplyDeltaInverse reads `d` in place; the materialized inverse is
+    // its oracle.
+    XmlDocument in_place = working.Clone();
     const Delta inverse = InvertDelta(*delta);
     if (Status s = ApplyDelta(inverse, &working); !s.ok()) {
       judge->Fail("invert", "inverse apply failed: " + s.ToString());
@@ -215,6 +219,16 @@ void InvertAndCodecOracles(const XmlDocument& base, const XmlDocument& changed,
     if (CanonicalWithXids(working) != CanonicalWithXids(base)) {
       judge->Fail("invert",
                   "Invert(d) ∘ d is not the identity (source not restored)");
+      return;
+    }
+    if (Status s = ApplyDeltaInverse(*delta, &in_place); !s.ok()) {
+      judge->Fail("invert", "in-place inverse apply failed: " + s.ToString());
+      return;
+    }
+    if (CanonicalWithXids(in_place) != CanonicalWithXids(working) ||
+        in_place.next_xid() != working.next_xid()) {
+      judge->Fail("invert",
+                  "in-place inverse differs from the materialized inverse");
       return;
     }
     if (SerializeDelta(InvertDelta(inverse)) != SerializeDelta(*delta)) {

@@ -24,6 +24,7 @@ VersionRepository VersionRepository::FromParts(XmlDocument current,
                                                ReconstructionIndex index) {
   VersionRepository repo(std::move(current));
   repo.deltas_ = std::move(deltas);
+  repo.delta_digests_.resize(repo.deltas_.size());
   repo.index_ = std::move(index);
   return repo;
 }
@@ -43,6 +44,7 @@ Result<int> VersionRepository::Commit(XmlDocument new_version,
   // are copied strings, so the delta is self-contained: the superseded
   // document can be handed off (or dropped) freely.
   deltas_.push_back(std::move(*delta));
+  delta_digests_.emplace_back();
   if (superseded != nullptr) {
     *superseded = std::move(current_);
   }
@@ -232,7 +234,11 @@ Result<std::optional<std::string>> VersionRepository::TextAt(int version,
 
 size_t VersionRepository::stored_delta_bytes() const {
   size_t total = 0;
-  for (const Delta& d : deltas_) total += EncodeDeltaBinary(d).size();
+  for (size_t i = 0; i < deltas_.size(); ++i) {
+    total += delta_digests_[i].has_value()
+                 ? delta_digests_[i]->size
+                 : EncodeDeltaBinary(deltas_[i]).size();
+  }
   return total;
 }
 

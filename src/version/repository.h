@@ -1,6 +1,8 @@
 #ifndef XYDIFF_VERSION_REPOSITORY_H_
 #define XYDIFF_VERSION_REPOSITORY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +41,15 @@ struct CheckoutStats {
   size_t nodes_indexed = 0;  ///< XID index registrations (see
                              ///< DeltaPathApplicator::nodes_indexed).
   bool forward = false;      ///< Checkpoint + skip path (vs backward replay).
+};
+
+/// Size and CRC-64 of one chain delta's encoding in the binary storage
+/// codec (delta/codec.h) — the two numbers a MANIFEST entry records.
+struct EncodedDigest {
+  size_t size = 0;
+  uint64_t crc = 0;
+
+  bool operator==(const EncodedDigest&) const = default;
 };
 
 /// Change-centric version storage (§2, Figure 1; after [19]).
@@ -130,7 +141,23 @@ class VersionRepository {
 
   /// Storage accounting: total bytes of the stored deltas in the binary
   /// storage codec (delta/codec.h) — what the version store writes.
+  /// Deltas with a known digest are not encoded again.
   size_t stored_delta_bytes() const;
+
+  /// Encoding digest of chain delta `index` (deltas()[index]), when
+  /// known. Chain deltas never change once committed, so the store
+  /// records each digest the first time it encodes or verifies the
+  /// delta's file, and later saves compare digests instead of
+  /// re-encoding the whole chain (storage.h).
+  const std::optional<EncodedDigest>& delta_digest(size_t index) const {
+    return delta_digests_[index];
+  }
+
+  /// Records the digest of chain delta `index`. Only the store calls
+  /// this, with the size and CRC-64 of bytes that encode that delta.
+  void set_delta_digest(size_t index, EncodedDigest digest) {
+    delta_digests_[index] = digest;
+  }
 
   /// The stored delta chain; deltas[k] transforms version k+1 into k+2.
   const std::vector<Delta>& deltas() const XY_ARENA_BOUND("repository") {
@@ -149,6 +176,8 @@ class VersionRepository {
 
   XmlDocument current_;
   std::vector<Delta> deltas_;  // deltas_[k] transforms version k+1 -> k+2.
+  // delta_digests_[k] caches the encoding digest of deltas_[k].
+  std::vector<std::optional<EncodedDigest>> delta_digests_;
   ReconstructionIndex index_;
   DiffStats last_stats_;
 };

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "delta/apply.h"
@@ -116,13 +118,27 @@ struct Manifest {
   int prev_epoch = 0;
   size_t prev_chain = 0;
   std::vector<ManifestFile> files;
+};
 
-  const ManifestFile* Find(const std::string& name) const {
-    for (const ManifestFile& f : files) {
-      if (f.name == name) return &f;
-    }
-    return nullptr;
+/// Name -> entry lookup over one manifest's files, so that the per-file
+/// loops of saving, loading and cleanup stay linear in the chain length.
+/// Borrows the manifest, which must outlive it; a null manifest finds
+/// nothing.
+class ManifestLookup {
+ public:
+  explicit ManifestLookup(const Manifest* manifest) {
+    if (manifest == nullptr) return;
+    by_name_.reserve(manifest->files.size());
+    for (const ManifestFile& f : manifest->files) by_name_.emplace(f.name, &f);
   }
+
+  const ManifestFile* Find(std::string_view name) const {
+    auto it = by_name_.find(name);
+    return it != by_name_.end() ? it->second : nullptr;
+  }
+
+ private:
+  std::unordered_map<std::string_view, const ManifestFile*> by_name_;
 };
 
 std::string FormatManifest(const Manifest& manifest) {
@@ -324,6 +340,7 @@ void CleanupUnreferenced(const std::string& directory,
   Result<std::vector<std::string>> names = env->ListDir(directory);
   // Justified discard: cleanup is best-effort by contract (see above).
   if (!names.ok()) return;
+  const ManifestLookup live(&manifest);
   for (const std::string& name : *names) {
     if (name == kManifestName || name == kQuarantineDir) continue;
     const bool managed = StartsWith(name, "delta.") ||
@@ -332,7 +349,7 @@ void CleanupUnreferenced(const std::string& directory,
                          StartsWith(name, "skip.") ||
                          (name.size() > 4 &&
                           name.compare(name.size() - 4, 4, ".tmp") == 0);
-    if (!managed || manifest.Find(name) != nullptr) continue;
+    if (!managed || live.Find(name) != nullptr) continue;
     // Justified discard: see function comment — stale files are inert.
     (void)env->RemoveFile(directory + "/" + name);
   }
@@ -470,7 +487,12 @@ namespace {
 /// until the caller writes the returned manifest (SaveRepository) or
 /// group-commits it through a batch journal (SaveRepositoryBatch).
 /// Caller holds the directory's lock.
-Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
+///
+/// Chain deltas are encoded only when the repository holds no digest for
+/// them or the old manifest disagrees with it; each digest computed here
+/// is recorded in `repo`, so a steady-state save encodes just the deltas
+/// committed since the last one.
+Result<Manifest> WriteRepositoryData(VersionRepository& repo,
                                      const std::string& directory, Env* env) {
   if (repo.current().root() == nullptr) {
     return Status::InvalidArgument("cannot persist an empty document");
@@ -483,6 +505,7 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
   if (!old_manifest.ok()) return old_manifest.status();
   const Manifest* old =
       old_manifest->has_value() ? &old_manifest->value() : nullptr;
+  const ManifestLookup old_files(old);
 
   Manifest next;
   next.epoch = old != nullptr ? old->epoch + 1 : 1;
@@ -497,19 +520,20 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
   // prefix delta, the checkpoint, and every old skip span are skipped,
   // so a commit writes one delta, the newly completed skip spans, two
   // current files, and the MANIFEST.
+  //
+  // The existence check matters after recovery: a quarantined file is
+  // still listed (with matching bytes) in the superseded manifest but is
+  // gone from the directory, and must be rewritten, not skipped.
+  auto unchanged = [&](const ManifestFile& entry) {
+    const ManifestFile* existing = old_files.Find(entry.name);
+    return existing != nullptr && existing->size == entry.size &&
+           existing->crc == entry.crc &&
+           env->FileExists(directory + "/" + entry.name);
+  };
   auto write_unless_unchanged = [&](std::string name,
                                     const std::string& text) -> Status {
     ManifestFile entry{std::move(name), text.size(), Crc64(text)};
-    const ManifestFile* existing =
-        old != nullptr ? old->Find(entry.name) : nullptr;
-    // The existence check matters after recovery: a quarantined file is
-    // still listed (with matching bytes) in the superseded manifest but
-    // is gone from the directory, and must be rewritten, not skipped.
-    const bool unchanged = existing != nullptr &&
-                           existing->size == entry.size &&
-                           existing->crc == entry.crc &&
-                           env->FileExists(directory + "/" + entry.name);
-    if (!unchanged) {
+    if (!unchanged(entry)) {
       XYDIFF_RETURN_IF_ERROR(
           env->WriteFileAtomic(directory + "/" + entry.name, text));
     }
@@ -517,13 +541,25 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
     return Status::OK();
   };
 
-  // Delta chain, in the compact binary codec (delta/codec.h). A legacy
-  // store whose manifest lists delta.*.xml entries finds no matching
-  // .bin entry, so the whole chain is rewritten in binary here and the
-  // XML files become unreferenced — upgraded on the next save.
+  // Delta chain, in the compact binary codec (delta/codec.h). A delta
+  // whose recorded digest the old manifest already lists is kept without
+  // being encoded again. A legacy store whose manifest lists delta.*.xml
+  // entries finds no matching .bin entry, so the whole chain is
+  // rewritten in binary here and the XML files become unreferenced —
+  // upgraded on the next save.
   for (size_t i = 0; i < repo.deltas().size(); ++i) {
+    std::string name = DeltaBinName(i);
+    if (const std::optional<EncodedDigest>& digest = repo.delta_digest(i);
+        digest.has_value()) {
+      ManifestFile entry{name, digest->size, digest->crc};
+      if (unchanged(entry)) {
+        next.files.push_back(std::move(entry));
+        continue;
+      }
+    }
     XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        DeltaBinName(i), EncodeDeltaBinary(repo.deltas()[i])));
+        std::move(name), EncodeDeltaBinary(repo.deltas()[i])));
+    repo.set_delta_digest(i, {next.files.back().size, next.files.back().crc});
   }
 
   // Reconstruction index: the version-1 checkpoint plus every present
@@ -564,8 +600,8 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
 
 }  // namespace
 
-Status SaveRepository(const VersionRepository& repo,
-                      const std::string& directory, Env* env) {
+Status SaveRepository(VersionRepository& repo, const std::string& directory,
+                      Env* env) {
   MutexLock lock(DirectoryLocks().For(directory));
   env = Resolve(env);
   Result<Manifest> next = WriteRepositoryData(repo, directory, env);
@@ -864,15 +900,16 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   }
 
   const bool verified = report->manifest_valid;
+  const ManifestLookup listed(&*manifest);  // Salvaged: no entries.
 
   // --- current version --------------------------------------------------
   Result<XmlDocument> current = Status::Corruption("unset");
   size_t chain = manifest->chain;
   if (verified) {
     const ManifestFile* xml_entry =
-        manifest->Find(CurrentXmlName(manifest->epoch));
+        listed.Find(CurrentXmlName(manifest->epoch));
     const ManifestFile* meta_entry =
-        manifest->Find(CurrentMetaName(manifest->epoch));
+        listed.Find(CurrentMetaName(manifest->epoch));
     if (xml_entry == nullptr || meta_entry == nullptr) {
       return Status::Corruption("MANIFEST lists no current version for " +
                                 directory);
@@ -932,19 +969,30 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   // (delta.<k>.xml, pre-codec stores — loaded as-is and upgraded to
   // binary by the next save). A salvaged manifest has no file entries,
   // so the format is sniffed from the bytes instead.
+  //
+  // A chain read entirely from verified .bin entries hands their
+  // MANIFEST digests to the repository, so its next save need not encode
+  // them again (WriteRepositoryData) — unless recovery drops deltas
+  // below, which renumbers the chain.
   std::vector<Delta> deltas;
+  std::vector<EncodedDigest> digests;
+  bool digests_known = true;
   size_t last_bad = 0;  // 1-based index of the newest unusable delta.
   for (size_t i = 0; i < chain; ++i) {
     std::string name = DeltaBinName(i);
     bool binary = true;
     Result<std::string> text = Status::Corruption("unset");
-    if (verified && manifest->Find(name) != nullptr) {
-      text = ReadVerified(directory, *manifest->Find(name), env);
-    } else if (verified && manifest->Find(DeltaName(i)) != nullptr) {
+    if (const ManifestFile* entry = listed.Find(name); entry != nullptr) {
+      text = ReadVerified(directory, *entry, env);
+      digests.push_back({entry->size, entry->crc});
+    } else if (const ManifestFile* xml_entry = listed.Find(DeltaName(i));
+               xml_entry != nullptr) {
       name = DeltaName(i);
       binary = false;
-      text = ReadVerified(directory, *manifest->Find(name), env);
+      digests_known = false;
+      text = ReadVerified(directory, *xml_entry, env);
     } else {
+      digests_known = false;
       if (!env->FileExists(directory + "/" + name)) name = DeltaName(i);
       text = env->ReadFile(directory + "/" + name);
       binary = text.ok() && LooksLikeBinaryDelta(*text);
@@ -999,7 +1047,7 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   // falls back to backward replay; EnsureReconstructionIndex rebuilds).
   ReconstructionIndex index;
   if (verified && report->clean && !deltas.empty() &&
-      manifest->Find(kCheckpointXmlName) != nullptr) {
+      listed.Find(kCheckpointXmlName) != nullptr) {
     bool index_ok = true;
     auto fail_index = [&](const std::string& name, const Status& why) {
       index_ok = false;
@@ -1011,8 +1059,8 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
       }
     };
 
-    const ManifestFile* cp_xml = manifest->Find(kCheckpointXmlName);
-    const ManifestFile* cp_meta = manifest->Find(kCheckpointMetaName);
+    const ManifestFile* cp_xml = listed.Find(kCheckpointXmlName);
+    const ManifestFile* cp_meta = listed.Find(kCheckpointMetaName);
     if (cp_meta == nullptr) {
       fail_index(kCheckpointMetaName,
                  Status::Corruption("not listed in MANIFEST"));
@@ -1072,8 +1120,14 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   }
 
   report->recovered_version_count = static_cast<int>(deltas.size()) + 1;
-  return VersionRepository::FromParts(std::move(current.value()),
-                                      std::move(deltas), std::move(index));
+  VersionRepository repo = VersionRepository::FromParts(
+      std::move(current.value()), std::move(deltas), std::move(index));
+  if (digests_known && report->dropped_deltas == 0) {
+    for (size_t i = 0; i < digests.size(); ++i) {
+      repo.set_delta_digest(i, digests[i]);
+    }
+  }
+  return repo;
 }
 
 }  // namespace xydiff

@@ -84,14 +84,21 @@ struct RecoveryReport {
 /// previous contents are still live (the MANIFEST was not committed),
 /// except for IOError during post-commit cleanup, which is swallowed —
 /// stale files are invisible to the loader.
-Status SaveRepository(const VersionRepository& repo,
-                      const std::string& directory, Env* env = nullptr);
+///
+/// The repository is taken mutably for one reason: the save records the
+/// encoding digest of every chain delta it encodes (see
+/// VersionRepository::delta_digest), so the next save of the same
+/// repository encodes only the deltas committed in between. The caller
+/// must hold whatever lock guards `repo` against concurrent Commits.
+Status SaveRepository(VersionRepository& repo, const std::string& directory,
+                      Env* env = nullptr);
 
 /// One repository in a group commit: what to write and where —
 /// `subdirectory` is a single path component under the batch parent
-/// directory (no separators).
+/// directory (no separators). The repository records its delta digests,
+/// as in SaveRepository.
 struct RepositorySaveSlot {
-  const VersionRepository* repo = nullptr;
+  VersionRepository* repo = nullptr;
   std::string subdirectory;
 };
 

@@ -1,9 +1,14 @@
 // DeltaPathApplicator keeps one XID index for a whole path of deltas. These
 // tests compare its output, bit-exactly and including XIDs, against
-// step-by-step verified ApplyDelta / ApplyDeltaInverse on chains that
-// exercise every way a hop changes the index: deletes, moves, a move into
-// a subtree inserted by an earlier hop, a delete of a subtree inserted
-// earlier, and root replacement through the XID-0 super-root.
+// step-by-step verified ApplyDelta on chains that exercise every way a
+// hop changes the index: deletes, moves, a move into a subtree inserted
+// by an earlier hop, a delete of a subtree inserted earlier, and root
+// replacement through the XID-0 super-root. The chains also carry
+// compressed text updates and attribute inserts, deletes and updates.
+//
+// Inverse hops read the forward delta in place, so their oracle is the
+// materialized inverse: forward ApplyDelta(InvertDelta(d)) with
+// verification, compared bit-exactly, next_xid included.
 
 #include "delta/apply.h"
 
@@ -11,6 +16,7 @@
 #include <vector>
 
 #include "core/buld.h"
+#include "delta/invert.h"
 #include "gtest/gtest.h"
 #include "simulator/change_simulator.h"
 #include "simulator/doc_generator.h"
@@ -151,6 +157,73 @@ void ReplaceRoot(Chain* chain) {
   ASSERT_EQ(chain->head().root()->xid(), new_root_xid);
 }
 
+/// Hop A: inserts an attribute on the root and one on another element.
+/// Hop B: updates the first and deletes the second.
+void AttributeHops(Chain* chain) {
+  XmlNode* root = chain->versions.back().root();
+  const XmlNode* other = LastElementOutside(root, nullptr);
+  ASSERT_NE(other, nullptr);
+  const Xid root_xid = root->xid();
+  const Xid other_xid = other->xid();
+  {
+    Delta insert = EmptyHop(chain->head(), chain->head().next_xid());
+    insert.attribute_ops().push_back(
+        {AttributeOpKind::kInsert, root_xid, "stamp", "", "one"});
+    insert.attribute_ops().push_back(
+        {AttributeOpKind::kInsert, other_xid, "gone", "", "soon"});
+    chain->Append(std::move(insert));
+  }
+  {
+    Delta change = EmptyHop(chain->head(), chain->head().next_xid());
+    change.attribute_ops().push_back(
+        {AttributeOpKind::kUpdate, root_xid, "stamp", "one", "two"});
+    change.attribute_ops().push_back(
+        {AttributeOpKind::kDelete, other_xid, "gone", "soon", ""});
+    chain->Append(std::move(change));
+  }
+}
+
+/// Hop A: appends <note>long text</note> to the root, so that every
+/// chain has a text to edit.
+/// Hop B: edits the middle of every text node of at least four bytes and
+/// diffs with DiffOptions::compress_updates, so the hop's updates store
+/// only the differing middles.
+void CompressedUpdateHops(Chain* chain) {
+  {
+    const Xid note_xid = chain->head().next_xid();
+    Delta insert = EmptyHop(chain->head(), note_xid + 2);
+    XmlNodePtr note = XmlNode::Element("note");
+    note->set_xid(note_xid);
+    XmlNodePtr text = XmlNode::Text("a note long enough to edit");
+    text->set_xid(note_xid + 1);
+    note->AppendChild(std::move(text));
+    const XmlNode* root = chain->head().root();
+    insert.inserts().emplace_back(
+        note_xid, root->xid(), static_cast<uint32_t>(root->child_count() + 1),
+        std::move(note));
+    chain->Append(std::move(insert));
+  }
+  XmlDocument from = chain->head().Clone();
+  XmlDocument to = chain->head().Clone();
+  to.root()->Visit([](XmlNode* n) {
+    if (!n->is_text() || n->text().size() < 4) return;
+    std::string text(n->text());
+    text.insert(text.size() / 2, "~edit~");
+    n->set_text(std::move(text));
+  });
+  DiffOptions options;
+  options.compress_updates = true;
+  Result<Delta> delta = XyDiff(&from, &to, options);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  size_t compressed = 0;
+  for (const UpdateOp& op : delta->updates()) {
+    if (op.is_compressed()) ++compressed;
+  }
+  ASSERT_GT(compressed, 0u);
+  chain->Append(std::move(*delta));
+  EXPECT_TRUE(DocsEqualWithXids(chain->head(), to));
+}
+
 /// Simulator hops around the hand-written ones, so later simulated edits
 /// touch nodes the hand-written hops moved, inserted and re-rooted.
 Chain MixedChain(uint64_t seed) {
@@ -166,6 +239,8 @@ Chain MixedChain(uint64_t seed) {
   ReplaceRoot(&chain);
   for (int i = 0; i < 3; ++i) SimulatorHop(&chain, &rng);
   InsertMoveIntoThenDelete(&chain);
+  AttributeHops(&chain);
+  CompressedUpdateHops(&chain);
   for (int i = 0; i < 4; ++i) SimulatorHop(&chain, &rng);
   return chain;
 }
@@ -184,7 +259,7 @@ size_t SnapshotNodes(const std::vector<InsertOp>& ops) {
 
 TEST(DeltaPathTest, ChainsCoverEveryIndexChange) {
   const Chain chain = MixedChain(71);
-  ASSERT_EQ(chain.deltas.size(), 22u);
+  ASSERT_EQ(chain.deltas.size(), 26u);
   // The simulated hops alone already delete and move.
   size_t deletes = 0, moves = 0;
   for (size_t hop = 0; hop < 5; ++hop) {
@@ -193,15 +268,68 @@ TEST(DeltaPathTest, ChainsCoverEveryIndexChange) {
   }
   EXPECT_GT(deletes, 0u);
   EXPECT_GT(moves, 0u);
+  // The hand-written hops add compressed updates and every kind of
+  // attribute op.
+  size_t compressed = 0;
+  std::vector<size_t> attribute_kinds(3, 0);
+  for (const Delta& delta : chain.deltas) {
+    for (const UpdateOp& op : delta.updates()) {
+      if (op.is_compressed()) ++compressed;
+    }
+    for (const AttributeOp& op : delta.attribute_ops()) {
+      ++attribute_kinds[static_cast<size_t>(op.kind)];
+    }
+  }
+  EXPECT_GT(compressed, 0u);
+  for (size_t kind = 0; kind < attribute_kinds.size(); ++kind) {
+    EXPECT_GT(attribute_kinds[kind], 0u) << "attribute op kind " << kind;
+  }
 }
 
-TEST(DeltaPathTest, VerifiedInverseStepsRetraceTheChain) {
-  const Chain chain = MixedChain(72);
-  XmlDocument doc = chain.head().Clone();
-  for (size_t v = chain.deltas.size(); v > 0; --v) {
-    XY_ASSERT_OK(ApplyDeltaInverse(chain.deltas[v - 1], &doc));
-    ASSERT_TRUE(DocsEqualWithXids(doc, chain.versions[v - 1]))
-        << "version " << v;
+/// Bit-exact equality of two versions: tree, XIDs and the XID allocator.
+::testing::AssertionResult SameVersion(const XmlDocument& a,
+                                       const XmlDocument& b) {
+  ::testing::AssertionResult same = DocsEqualWithXids(a, b);
+  if (!same) return same;
+  if (a.next_xid() != b.next_xid()) {
+    return ::testing::AssertionFailure()
+           << "next_xid " << a.next_xid() << " vs " << b.next_xid();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The oracle for an inverse hop: the inverse materialized by
+/// InvertDelta, applied forward with verification.
+XmlDocument MaterializedInverse(const Delta& delta, const XmlDocument& doc) {
+  XmlDocument out = doc.Clone();
+  XY_EXPECT_OK(ApplyDelta(InvertDelta(delta), &out));
+  return out;
+}
+
+TEST(DeltaPathTest, InPlaceInverseMatchesMaterializedInverse) {
+  for (uint64_t seed : {72, 79}) {
+    const Chain chain = MixedChain(seed);
+    // Each hop undone on its own, from the version it produced.
+    for (size_t v = chain.deltas.size(); v > 0; --v) {
+      const Delta& delta = chain.deltas[v - 1];
+      XmlDocument in_place = chain.versions[v].Clone();
+      XY_ASSERT_OK(ApplyDeltaInverse(delta, &in_place));
+      const XmlDocument oracle = MaterializedInverse(delta, chain.versions[v]);
+      ASSERT_TRUE(SameVersion(in_place, oracle))
+          << "seed " << seed << " hop " << v;
+      ASSERT_TRUE(DocsEqualWithXids(in_place, chain.versions[v - 1]))
+          << "seed " << seed << " hop " << v;
+    }
+    // The whole chain undone as one verifying path, against the chain of
+    // materialized inverses.
+    DeltaPathApplicator path(chain.head().Clone(), ApplyOptions{});
+    XmlDocument oracle = chain.head().Clone();
+    for (size_t v = chain.deltas.size(); v > 0; --v) {
+      XY_ASSERT_OK(path.Push(chain.deltas[v - 1], /*inverse=*/true));
+      oracle = MaterializedInverse(chain.deltas[v - 1], oracle);
+    }
+    EXPECT_TRUE(SameVersion(std::move(path).Finish(), oracle))
+        << "seed " << seed;
   }
 }
 
@@ -337,6 +465,54 @@ TEST(DeltaPathTest, FirstErrorIsSticky) {
   XmlDocument doc = std::move(path).Finish();
   ASSERT_NE(doc.root(), nullptr);
   EXPECT_EQ(doc.root()->child(0)->child(0)->text(), "x");
+}
+
+
+TEST(DeltaPathTest, VerifyingInversePushOntoWrongVersionConflicts) {
+  // d: <r><a>x</a><b/></r> -> <r a="1"><a>y</a><c/></r> (text update,
+  // attribute insert, <b/> replaced by <c/>).
+  Delta d;
+  d.set_old_next_xid(5);
+  d.set_new_next_xid(6);
+  d.updates().push_back(UpdateOp{1, "x", "y"});
+  d.attribute_ops().push_back({AttributeOpKind::kInsert, 4, "a", "", "1"});
+  XmlNodePtr b = XmlNode::Element("b");
+  b->set_xid(3);
+  d.deletes().emplace_back(3, 4, 2, std::move(b));
+  XmlNodePtr c = XmlNode::Element("c");
+  c->set_xid(5);
+  d.inserts().emplace_back(5, 4, 2, std::move(c));
+
+  XmlDocument target = BaseDoc();
+  XY_ASSERT_OK(ApplyDelta(d, &target));
+  {
+    // The right version: undone exactly.
+    DeltaPathApplicator path(target.Clone(), ApplyOptions{});
+    XY_ASSERT_OK(path.Push(d, /*inverse=*/true));
+    EXPECT_TRUE(SameVersion(std::move(path).Finish(),
+                            MaterializedInverse(d, target)));
+  }
+  // The source version is the wrong one for an inverse push: its text
+  // still reads "x" where the inverse update expects "y".
+  {
+    DeltaPathApplicator path(BaseDoc(), ApplyOptions{});
+    EXPECT_EQ(path.Push(d, /*inverse=*/true).code(), StatusCode::kConflict);
+  }
+  // A version whose text matches but whose inserted <c/> was changed:
+  // the inverse delete finds a subtree that is not the snapshot.
+  {
+    XmlDocument changed = target.Clone();
+    changed.root()->child(1)->SetAttribute("extra", "z");
+    DeltaPathApplicator path(std::move(changed), ApplyOptions{});
+    EXPECT_EQ(path.Push(d, /*inverse=*/true).code(), StatusCode::kConflict);
+  }
+  // A version where the inserted attribute already changed value.
+  {
+    XmlDocument changed = target.Clone();
+    changed.root()->SetAttribute("a", "2");
+    DeltaPathApplicator path(std::move(changed), ApplyOptions{});
+    EXPECT_EQ(path.Push(d, /*inverse=*/true).code(), StatusCode::kConflict);
+  }
 }
 
 }  // namespace

@@ -82,8 +82,8 @@ VersionRepository MakeRepo(uint64_t seed, int extra_versions) {
 /// to save `after`, crash, reopen, and require the reopened store to be
 /// bit-exactly `before` or `after`. Returns false once the armed fault
 /// no longer triggers (the sweep is past the end of the protocol).
-bool ProbeCrashPoint(const std::string& dir, const VersionRepository& before,
-                     const VersionRepository& after,
+bool ProbeCrashPoint(const std::string& dir, VersionRepository& before,
+                     VersionRepository& after,
                      const std::vector<std::string>& sig_before,
                      const std::vector<std::string>& sig_after,
                      const std::function<void(FaultInjectionEnv&)>& plan) {
@@ -118,7 +118,7 @@ bool ProbeCrashPoint(const std::string& dir, const VersionRepository& before,
 }
 
 TEST_F(FaultInjectionTest, CrashAtEveryOperationYieldsOldOrNew) {
-  const VersionRepository before = MakeRepo(21, 2);
+  VersionRepository before = MakeRepo(21, 2);
   VersionRepository after = MakeRepo(21, 2);
   {
     Rng rng(99);
@@ -145,7 +145,7 @@ TEST_F(FaultInjectionTest, CrashAtEveryOperationYieldsOldOrNew) {
 }
 
 TEST_F(FaultInjectionTest, TornWriteAtEveryOffsetYieldsOldOrNew) {
-  const VersionRepository before = MakeRepo(22, 1);
+  VersionRepository before = MakeRepo(22, 1);
   VersionRepository after = MakeRepo(22, 1);
   {
     Rng rng(100);
@@ -199,7 +199,7 @@ TEST_F(FaultInjectionTest, IndexedCrashAtEveryOperationYieldsOldOrNew) {
   // mid-checkpoint or mid-skip write — must reopen as pre- or post-save;
   // a load that sheds the derived index still counts as that epoch
   // because every version reconstructs bit-exactly over the plain chain.
-  const VersionRepository before = MakeIndexedRepo(25, 8);
+  VersionRepository before = MakeIndexedRepo(25, 8);
   VersionRepository after = MakeIndexedRepo(25, 8);
   {
     Rng rng(103);
@@ -228,7 +228,7 @@ TEST_F(FaultInjectionTest, IndexedCrashAtEveryOperationYieldsOldOrNew) {
 }
 
 TEST_F(FaultInjectionTest, IndexedTornWriteAtEveryOffsetYieldsOldOrNew) {
-  const VersionRepository before = MakeIndexedRepo(26, 8);
+  VersionRepository before = MakeIndexedRepo(26, 8);
   VersionRepository after = MakeIndexedRepo(26, 8);
   {
     Rng rng(104);
@@ -262,7 +262,7 @@ TEST_F(FaultInjectionTest, IndexedTornWriteAtEveryOffsetYieldsOldOrNew) {
 }
 
 TEST_F(FaultInjectionTest, TransientErrorAtEveryOperationIsRecoverable) {
-  const VersionRepository before = MakeRepo(23, 1);
+  VersionRepository before = MakeRepo(23, 1);
   VersionRepository after = MakeRepo(23, 1);
   {
     Rng rng(101);
@@ -436,13 +436,17 @@ TEST_F(FaultInjectionTest, FailFastAbortsRemainingSlots) {
 /// and reload every slot. The batch contract: ALL slots read back
 /// pre-batch or ALL read back post-batch — a mix is a torn group
 /// commit. Returns false once the armed fault no longer triggers.
+///
+/// `make_context` (optional) supplies the probed save's context. It is
+/// called after the seed save, so a deadline's budget covers only the
+/// probed save, however slow the seeding fsyncs were.
 bool ProbeBatchFaultPoint(
-    const std::string& parent, const std::vector<VersionRepository>& before,
-    const std::vector<VersionRepository>& after,
+    const std::string& parent, std::vector<VersionRepository>& before,
+    std::vector<VersionRepository>& after,
     const std::vector<std::vector<std::string>>& sig_before,
     const std::vector<std::vector<std::string>>& sig_after,
     const std::function<void(FaultInjectionEnv&)>& plan,
-    const Context* context = nullptr) {
+    const std::function<Context()>& make_context = nullptr) {
   fs::remove_all(parent);
   FaultInjectionEnv env;
   std::vector<RepositorySaveSlot> seed;
@@ -457,7 +461,8 @@ bool ProbeBatchFaultPoint(
   for (size_t i = 0; i < after.size(); ++i) {
     slots.push_back({&after[i], "slot" + std::to_string(i)});
   }
-  const Status saved = SaveRepositoryBatch(slots, parent, &env, context);
+  const Context context = make_context ? make_context() : Context();
+  const Status saved = SaveRepositoryBatch(slots, parent, &env, &context);
   const bool triggered = env.triggered();
   XY_EXPECT_OK(env.DropUnsyncedData());
 
@@ -519,7 +524,7 @@ BatchCorpus MakeBatchCorpus(size_t slots) {
 }
 
 TEST_F(FaultInjectionTest, BatchCrashAtEveryOperationYieldsAllPreOrAllPost) {
-  const BatchCorpus corpus = MakeBatchCorpus(3);
+  BatchCorpus corpus = MakeBatchCorpus(3);
   int op = 0;
   for (; op < 10000; ++op) {
     if (!ProbeBatchFaultPoint(
@@ -537,7 +542,7 @@ TEST_F(FaultInjectionTest, BatchCrashAtEveryOperationYieldsAllPreOrAllPost) {
 }
 
 TEST_F(FaultInjectionTest, BatchTornWriteAtEveryOffsetYieldsAllPreOrAllPost) {
-  const BatchCorpus corpus = MakeBatchCorpus(3);
+  BatchCorpus corpus = MakeBatchCorpus(3);
   // Tear offsets chosen to land inside every interesting payload: the
   // empty prefix, a single byte, mid-manifest, and mid-journal (the
   // journal embeds all three manifests, so 512 bytes usually splits
@@ -565,12 +570,11 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
   // the group-commit journal is the single commit point, so a cancel
   // noticed before it aborts cleanly and one noticed after it (there
   // are no checks after) lets the batch roll forward. Zero hybrids.
-  const BatchCorpus corpus = MakeBatchCorpus(3);
+  BatchCorpus corpus = MakeBatchCorpus(3);
   int op = 0;
   int cancelled_runs = 0;
   for (; op < 10000; ++op) {
     CancellationSource source;
-    const Context ctx = source.MakeContext();
     bool triggered = false;
     {
       // Count runs the save actually abandoned (vs cancels that fired
@@ -582,7 +586,7 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
           [op, &source](FaultInjectionEnv& env) {
             env.CancelAt(op, source);
           },
-          &ctx);
+          [&source] { return source.MakeContext(); });
     }
     if (source.cancelled()) ++cancelled_runs;
     if (!triggered) break;
@@ -592,20 +596,25 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
   EXPECT_GT(cancelled_runs, 10);
 }
 
+/// The probed save's deadline in the deadline sweeps: it expires mid-save
+/// only when an injected 60 ms stall lands inside the save.
+Context ExpiresIn25ms() {
+  return Context::WithTimeout(std::chrono::milliseconds(25));
+}
+
 TEST_F(FaultInjectionTest, BatchDeadlineMidSaveYieldsAllPreOrAllPost) {
   // Deadline sweep: a DelayAt-injected stall at the Nth op makes a
   // 25 ms deadline expire mid-save, deterministically at that op. The
   // save must notice at its next check-point and leave disk all-pre;
   // a stall landing after the journal write rolls forward to all-post.
-  const BatchCorpus corpus = MakeBatchCorpus(2);
+  BatchCorpus corpus = MakeBatchCorpus(2);
   int op = 0;
   for (; op < 10000; ++op) {
-    const Context ctx =
-        Context::WithTimeout(std::chrono::milliseconds(25));
     if (!ProbeBatchFaultPoint(
             Dir(), corpus.before, corpus.after, corpus.sig_before,
             corpus.sig_after,
-            [op](FaultInjectionEnv& env) { env.DelayAt(op, 60); }, &ctx)) {
+            [op](FaultInjectionEnv& env) { env.DelayAt(op, 60); },
+            ExpiresIn25ms)) {
       break;
     }
   }
@@ -619,11 +628,9 @@ TEST_F(FaultInjectionTest, DeadlineCrossTornWriteLeavesNoHybrid) {
   // op. Whichever fires first must still leave every slot bit-exactly
   // pre- or post-batch. The torn write only triggers when the save
   // survives past the stall — both orders are covered by the sweep.
-  const BatchCorpus corpus = MakeBatchCorpus(2);
+  BatchCorpus corpus = MakeBatchCorpus(2);
   for (const int delay_op : {0, 2, 4, 6, 8}) {
     for (const size_t keep : {size_t{0}, size_t{512}}) {
-      const Context ctx =
-          Context::WithTimeout(std::chrono::milliseconds(25));
       ProbeBatchFaultPoint(
           Dir(), corpus.before, corpus.after, corpus.sig_before,
           corpus.sig_after,
@@ -631,7 +638,7 @@ TEST_F(FaultInjectionTest, DeadlineCrossTornWriteLeavesNoHybrid) {
             env.DelayAt(delay_op, 60);
             env.TearWriteAt(delay_op + 3, keep);
           },
-          &ctx);
+          ExpiresIn25ms);
     }
   }
 }

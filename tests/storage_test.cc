@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "delta/codec.h"
 #include "delta/delta_xml.h"
 #include "gtest/gtest.h"
 #include "simulator/change_simulator.h"
@@ -529,6 +530,158 @@ TEST_F(StorageTest, MixedFormatChainRecoversFromCorruption) {
     ASSERT_TRUE(recovered.ok());
     EXPECT_TRUE(DocsEqualWithXids(*original, *recovered)) << "version " << v;
   }
+}
+
+// --- encoding digests of chain deltas -----------------------------------
+// A save encodes a chain delta only when the repository holds no digest
+// for it or the old MANIFEST disagrees with that digest. Each case below
+// is a way a stale or wrong digest could make a save skip a file it must
+// write; in each, the next save has to rewrite what differs, and a reload
+// has to match every version.
+
+/// The digest a save would record for chain delta `index`.
+EncodedDigest DigestOf(const VersionRepository& repo, size_t index) {
+  const std::string bytes = EncodeDeltaBinary(repo.deltas()[index]);
+  return EncodedDigest{bytes.size(), Crc64(bytes)};
+}
+
+/// Commits one more simulated version.
+void CommitOneMore(VersionRepository* repo, uint64_t seed) {
+  Rng rng(seed);
+  Result<SimulatedChange> change =
+      SimulateChanges(repo->current(), ChangeSimOptions{}, &rng);
+  ASSERT_TRUE(change.ok());
+  ASSERT_TRUE(repo->Commit(std::move(change->new_version)).ok());
+}
+
+/// Reloads `dir` and requires a clean store holding exactly `expected`.
+void ExpectReloadsAs(const std::string& dir,
+                     const VersionRepository& expected) {
+  RecoveryReport report;
+  Result<VersionRepository> reloaded = LoadRepository(dir, nullptr, &report);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_TRUE(report.clean) << report.ToString();
+  ExpectAllVersionsEqual(expected, *reloaded);
+}
+
+TEST_F(StorageTest, SaveAndCleanLoadRecordEveryDeltaDigest) {
+  VersionRepository repo = MakeRepo(41, 4);
+  for (size_t i = 0; i < repo.deltas().size(); ++i) {
+    EXPECT_FALSE(repo.delta_digest(i).has_value()) << i;
+  }
+  const size_t encoded_bytes = repo.stored_delta_bytes();
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  for (size_t i = 0; i < repo.deltas().size(); ++i) {
+    ASSERT_TRUE(repo.delta_digest(i).has_value()) << i;
+    EXPECT_EQ(*repo.delta_digest(i), DigestOf(repo, i)) << i;
+  }
+  EXPECT_EQ(repo.stored_delta_bytes(), encoded_bytes);
+
+  Result<VersionRepository> loaded = LoadRepository(Dir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (size_t i = 0; i < loaded->deltas().size(); ++i) {
+    ASSERT_TRUE(loaded->delta_digest(i).has_value()) << i;
+    EXPECT_EQ(*loaded->delta_digest(i), DigestOf(*loaded, i)) << i;
+  }
+  // A commit after the load adds one delta without a digest; the save
+  // records it.
+  CommitOneMore(&*loaded, 42);
+  const size_t last = loaded->deltas().size() - 1;
+  EXPECT_FALSE(loaded->delta_digest(last).has_value());
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  ASSERT_TRUE(loaded->delta_digest(last).has_value());
+  EXPECT_EQ(*loaded->delta_digest(last), DigestOf(*loaded, last));
+  ExpectReloadsAs(Dir(), *loaded);
+}
+
+TEST_F(StorageTest, DigestsAfterRenumberingRecoveryRewriteTheChain) {
+  VersionRepository repo = MakeRepo(43, 5);  // 6 versions, 5 deltas.
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  // Rot in delta 2 drops deltas 1-2: loaded delta k is original delta
+  // k + 2, while the MANIFEST still lists the original numbering.
+  FlipByte(Dir() + "/delta.000002.bin");
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(report.dropped_deltas, 2u);
+  for (size_t i = 0; i < loaded->deltas().size(); ++i) {
+    EXPECT_FALSE(loaded->delta_digest(i).has_value()) << i;
+  }
+
+  CommitOneMore(&*loaded, 44);
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  ExpectReloadsAs(Dir(), *loaded);
+}
+
+TEST_F(StorageTest, DigestMatchingAQuarantinedOrMissingFileRewritesIt) {
+  VersionRepository repo = MakeRepo(45, 5);
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  // A load of the damaged store quarantines deltas 1-2; the MANIFEST
+  // still lists them with the bytes `repo` holds digests for.
+  FlipByte(Dir() + "/delta.000002.bin");
+  RecoveryReport report;
+  ASSERT_TRUE(LoadRepository(Dir(), nullptr, &report).ok());
+  ASSERT_EQ(report.quarantined.size(), 2u) << report.ToString();
+  // And delta 4 goes missing outright.
+  fs::remove(dir_ / "delta.000004.bin");
+
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  for (const char* name :
+       {"delta.000001.bin", "delta.000002.bin", "delta.000004.bin"}) {
+    EXPECT_TRUE(fs::exists(dir_ / name)) << name;
+  }
+  ExpectReloadsAs(Dir(), repo);
+}
+
+TEST_F(StorageTest, DigestsOfAnotherRepositoryDoNotMatchAnExistingStore) {
+  VersionRepository first = MakeRepo(46, 3);
+  XY_ASSERT_OK(SaveRepository(first, Dir()));
+  // Same chain length, different history, digests loaded from its own
+  // store.
+  const std::string other_dir = Dir() + "_other";
+  VersionRepository second = MakeRepo(47, 3);
+  XY_ASSERT_OK(SaveRepository(second, other_dir));
+  Result<VersionRepository> other = LoadRepository(other_dir);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  fs::remove_all(other_dir);
+
+  XY_ASSERT_OK(SaveRepository(*other, Dir()));
+  ExpectReloadsAs(Dir(), second);
+}
+
+TEST_F(StorageTest, LegacyXmlChainIsUpgradedByTheNextSave) {
+  VersionRepository repo = MakeRepo(48, 3);
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  // Regress the whole chain to the legacy XML format.
+  for (int v = 1; v <= 3; ++v) {
+    Result<const Delta*> delta = repo.DeltaFor(v);
+    ASSERT_TRUE(delta.ok());
+    const std::string xml = SerializeDelta(**delta);
+    char bin[32], legacy[32];
+    std::snprintf(bin, sizeof(bin), "delta.%06d.bin", v);
+    std::snprintf(legacy, sizeof(legacy), "delta.%06d.xml", v);
+    {
+      std::ofstream out(dir_ / legacy, std::ios::binary | std::ios::trunc);
+      out << xml;
+    }
+    RewriteManifestEntry(dir_, bin, legacy, xml);
+    fs::remove(dir_ / bin);
+  }
+  Result<VersionRepository> loaded = LoadRepository(Dir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (size_t i = 0; i < loaded->deltas().size(); ++i) {
+    EXPECT_FALSE(loaded->delta_digest(i).has_value()) << i;
+  }
+
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  for (int v = 1; v <= 3; ++v) {
+    char bin[32], legacy[32];
+    std::snprintf(bin, sizeof(bin), "delta.%06d.bin", v);
+    std::snprintf(legacy, sizeof(legacy), "delta.%06d.xml", v);
+    EXPECT_TRUE(fs::exists(dir_ / bin)) << bin;
+    EXPECT_FALSE(fs::exists(dir_ / legacy)) << legacy;
+  }
+  ExpectReloadsAs(Dir(), repo);
 }
 
 TEST_F(StorageTest, MetaTreeSizeMismatchRejected) {
