@@ -49,7 +49,10 @@ struct OracleReport {
 ///    hardened parser's contract) — reaching here at all already proves
 ///    no crash/hang;
 ///  * version-bearing trials: all of OracleOptions over the v1->v2->v3
-///    chain.
+///    chain, plus the configuration-differential oracle (always on): the
+///    chain stored through VersionRepository::Commit, Warehouse::Ingest
+///    and DiffBatch at 1 and 4 threads must agree on every version's
+///    XIDs and bytes, on each step's operation count and delta size.
 OracleReport CheckTrialOracles(const FuzzTrial& trial,
                                const OracleOptions& options = {});
 
