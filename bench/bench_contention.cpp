@@ -17,8 +17,8 @@
 //     serial fraction is reported next to the measured numbers;
 //   * commit-point counting: every env operation of the store stage is
 //     a syscall-ish unit; a counting env compares per-slot commits
-//     (group_commit_slots = 1) against batched commits (8) over the
-//     same 64 repositories.
+//     (one SaveRepository per repository) against batched commits
+//     (SaveRepositoryBatch, groups of 8) over the same 64 repositories.
 //
 // Results land in BENCH_contention.json for machine comparison.
 
@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -38,7 +39,7 @@
 #include "simulator/web_corpus.h"
 #include "util/fault_env.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "version/storage.h"
 #include "version/warehouse.h"
 #include "xml/parser.h"
@@ -215,10 +216,10 @@ int main() {
 
   // --- Part 2: simulated multi-warehouse sharding -----------------------
   // Partition the corpus over N independent warehouses and diff every
-  // shard concurrently on one 4-worker pool. More shards = fewer shared
+  // shard concurrently on 4 ParallelFor workers. More shards = fewer shared
   // locks in play; the spread bounds the cross-document serial section.
   bench::Rule();
-  std::printf("multi-warehouse sharding, 4 pool workers "
+  std::printf("multi-warehouse sharding, 4 workers "
               "(hardware_concurrency %u)\n%8s %10s %10s\n",
               std::thread::hardware_concurrency(), "shards", "wall_s",
               "docs/s");
@@ -229,39 +230,25 @@ int main() {
       shards.push_back(std::make_unique<Warehouse>());
     }
     Warehouse::PipelineOptions pipeline;
-    pipeline.threads = 1;  // Per shard; the outer pool provides width.
+    pipeline.threads = 1;  // Per shard; the outer ParallelFor provides width.
     std::atomic<bool> failed{false};
-    {
-      ThreadPool pool(4);
-      for (size_t s = 0; s < shard_count; ++s) {
-        pool.Submit([&, s] {
-          for (auto& r :
-               shards[s]->DiffBatch(JobsFor(pairs, true, s, shard_count),
-                                    pipeline)) {
-            if (!r.ok()) failed.store(true);
-          }
-        });
+    ParallelFor(4, shard_count, [&](size_t s) {
+      for (auto& r : shards[s]->DiffBatch(JobsFor(pairs, true, s, shard_count),
+                                          pipeline)) {
+        if (!r.ok()) failed.store(true);
       }
-      pool.Wait();
-    }
+    });
     if (failed.load()) {
       std::fprintf(stderr, "week1 shard ingest failed\n");
       return 1;
     }
     bench::Timer timer;
-    {
-      ThreadPool pool(4);
-      for (size_t s = 0; s < shard_count; ++s) {
-        pool.Submit([&, s] {
-          for (auto& r :
-               shards[s]->DiffBatch(JobsFor(pairs, false, s, shard_count),
-                                    pipeline)) {
-            if (!r.ok()) failed.store(true);
-          }
-        });
+    ParallelFor(4, shard_count, [&](size_t s) {
+      for (auto& r : shards[s]->DiffBatch(
+               JobsFor(pairs, false, s, shard_count), pipeline)) {
+        if (!r.ok()) failed.store(true);
       }
-      pool.Wait();
-    }
+    });
     const double wall = timer.Seconds();
     if (failed.load()) {
       std::fprintf(stderr, "week2 shard ingest failed\n");
@@ -348,7 +335,7 @@ int main() {
     }
     const int ops = env.op_count() - ops_before;
     const size_t commit_points = kRepos / group;
-    std::printf("  group_commit_slots=%zu: %d env ops total, %.1f per slot, "
+    std::printf("  group of %zu: %d env ops total, %.1f per slot, "
                 "%zu commit points\n",
                 group, ops, static_cast<double>(ops) / kRepos, commit_points);
     json.AddNumber("env_ops_group_" + std::to_string(group),

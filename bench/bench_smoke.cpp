@@ -1,6 +1,6 @@
 // Pipeline regression smoke gate — run as a ctest, not a benchmark.
 //
-// The staged DiffBatch pipeline exists to ADD value over a straight
+// The DiffBatch pipeline exists to ADD value over a straight
 // diff loop (persistence, alerts, deferred index maintenance), so it
 // must never again cost 3x the throughput (the regression this gate was
 // born from: 179 docs/s pipelined vs 540 straight-line). Both paths run
@@ -63,7 +63,7 @@ double RunStraightLine(const std::vector<Pair>& pairs, size_t* bytes_out) {
 }
 
 // Pipelined: a fresh warehouse per trial — week 1 seeds it (untimed),
-// week 2 is the timed 1-thread staged pipeline. A fresh warehouse keeps
+// week 2 is the timed 1-thread DiffBatch pipeline. A fresh warehouse keeps
 // every trial diffing version 1 -> version 2, the same work as the
 // straight-line loop. Returns elapsed seconds, or < 0 on error.
 double RunPipelined(const std::vector<Pair>& pairs, size_t* bytes_out) {

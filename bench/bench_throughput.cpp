@@ -159,13 +159,13 @@ int main() {
                 static_cast<double>(pairs.size()) / batch_s);
   }
 
-  // --- Part 3: the staged DiffBatch pipeline (parse → diff → store on
-  // the work-stealing pool, bounded queues, backpressure) with a thread
+  // --- Part 3: the DiffBatch pipeline (each slot parsed, diffed and
+  // stored start to finish on one ParallelFor worker) with a thread
   // sweep recorded machine-readably in BENCH_parallel.json. -------------
   std::printf("\n--- DiffBatch pipeline (parse -> diff -> store), thread"
               " sweep ---\n");
-  std::printf("%-8s %12s %12s %10s %12s\n", "threads", "wall_s", "docs/s",
-              "speedup", "stall_s");
+  std::printf("%-8s %12s %12s %10s\n", "threads", "wall_s", "docs/s",
+              "speedup");
   bench::Rule();
 
   bench::JsonReport parallel_report;
@@ -214,31 +214,24 @@ int main() {
     }
     const double docs_per_s = static_cast<double>(pairs.size()) / batch_s;
     if (threads == 1) single_thread_docs_per_s = docs_per_s;
-    double stall_s = 0;
-    for (const StageStats& stage : stats.stages) {
-      stall_s += stage.stall_seconds;
-    }
     const double speedup = single_thread_docs_per_s > 0
                                ? docs_per_s / single_thread_docs_per_s
                                : 1.0;
-    std::printf("%-8d %12.2f %12.0f %9.2fx %12.3f\n", threads, batch_s,
-                docs_per_s, speedup, stall_s);
+    std::printf("%-8d %12.2f %12.0f %9.2fx\n", threads, batch_s,
+                docs_per_s, speedup);
 
     bench::JsonReport point;
     point.AddNumber("wall_seconds", batch_s);
     point.AddNumber("docs_per_second", docs_per_s);
     point.AddNumber("speedup_vs_1_thread", speedup);
     point.AddNumber("peak_in_flight", static_cast<double>(stats.peak_in_flight));
-    point.AddNumber("stall_seconds", stall_s);
     for (const StageStats& stage : stats.stages) {
       point.AddNumber(stage.name + "_items",
                       static_cast<double>(stage.items));
-      point.AddNumber(stage.name + "_peak_queue",
-                      static_cast<double>(stage.peak_queue_depth));
     }
     parallel_report.AddObject("threads_" + std::to_string(threads), point);
   }
-  // The PR 6 acceptance ratio: the staged pipeline at 1 thread vs the
+  // The PR 6 acceptance ratio: the DiffBatch pipeline at 1 thread vs the
   // part-1 straight-line loop, same corpus, same process. bench_smoke
   // gates this in ctest at >= 0.9; here it is recorded for trend lines.
   parallel_report.AddNumber("straight_line_docs_per_second", docs_per_second);

@@ -267,7 +267,7 @@ Status RunCrashDiffBatchTrial(uint64_t seed, const std::string& directory,
   };
 
   // The expected pre (round 1) and post (round 2) states come from a
-  // fault-free twin run: the staged pipeline is deterministic, XIDs
+  // fault-free twin run: DiffBatch is deterministic, XIDs
   // included, at threads = 1.
   const std::string expect_dir = directory + "/expect";
   const std::string live_dir = directory + "/live";

@@ -104,8 +104,8 @@ Status RunCrashBatchSaveTrial(uint64_t seed, const std::string& directory,
 
 /// Same contract driven through the full Warehouse::DiffBatch pipeline:
 /// round 1 ingests three documents fault-free, a seed-chosen fault is
-/// armed, round 2 ingests changed versions through the staged pipeline's
-/// group-committing store stage, then reboot + recovery. OK iff every
+/// armed, round 2 ingests changed versions through DiffBatch's group
+/// commit, then reboot + recovery. OK iff every
 /// slot reloads as bit-exactly its round-1 or round-2 state — zero
 /// hybrids. Expected round-2 bytes come from an identical fault-free
 /// run in a sibling directory (the pipeline is deterministic).

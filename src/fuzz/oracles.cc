@@ -1,5 +1,7 @@
 #include "fuzz/oracles.h"
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -412,130 +414,88 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
   constexpr int kVersions = 3;
   const std::string texts[kVersions] = {Canonical(v1), Canonical(v2),
                                         Canonical(v3)};
-  const auto fail = [judge](const std::string& detail) {
-    judge->Fail("configuration", detail);
+  const auto fail = [judge](const std::string& path,
+                            const std::string& detail) {
+    judge->Fail("configuration", path + ": " + detail);
   };
 
   // (a) The reference chain.
-  size_t ref_ops[kVersions] = {0, 0, 0};
-  size_t ref_bytes[kVersions] = {0, 0, 0};
+  size_t ref_operations[kVersions] = {};
+  size_t ref_delta_bytes[kVersions] = {};
   std::vector<std::string> ref_versions;
   {
-    Result<XmlDocument> first = ParseXml(texts[0]);
-    if (!first.ok()) {
-      fail("serialized v1 does not parse: " + first.status().ToString());
-      return;
-    }
-    VersionRepository reference(std::move(*first));
-    for (int step = 1; step < kVersions; ++step) {
-      Result<XmlDocument> next = ParseXml(texts[step]);
-      if (!next.ok()) {
-        fail("serialized v" + std::to_string(step + 1) +
-             " does not parse: " + next.status().ToString());
-        return;
+    std::optional<VersionRepository> repo;
+    for (int step = 0; step < kVersions; ++step) {
+      Result<XmlDocument> doc = ParseXml(texts[step]);
+      if (!doc.ok()) return fail("reference", doc.status().ToString());
+      if (step == 0) {
+        repo.emplace(std::move(*doc));
+        continue;
       }
-      Result<int> version = reference.Commit(std::move(*next));
-      if (!version.ok()) {
-        fail("reference commit failed: " + version.status().ToString());
-        return;
-      }
-      Result<const Delta*> delta = reference.DeltaFor(*version - 1);
-      if (!delta.ok()) {
-        fail("reference delta missing: " + delta.status().ToString());
-        return;
-      }
-      ref_ops[step] = (*delta)->operation_count();
-      ref_bytes[step] = SerializeDelta(**delta).size();
+      Result<int> version = repo->Commit(std::move(*doc));
+      if (!version.ok()) return fail("reference", version.status().ToString());
+      Result<const Delta*> delta = repo->DeltaFor(*version - 1);
+      if (!delta.ok()) return fail("reference", delta.status().ToString());
+      ref_operations[step] = (*delta)->operation_count();
+      ref_delta_bytes[step] = SerializeDelta(**delta).size();
     }
     for (int version = 1; version <= kVersions; ++version) {
-      Result<XmlDocument> doc = reference.Checkout(version);
-      if (!doc.ok()) {
-        fail("reference checkout failed: " + doc.status().ToString());
-        return;
-      }
+      Result<XmlDocument> doc = repo->Checkout(version);
+      if (!doc.ok()) return fail("reference", doc.status().ToString());
       ref_versions.push_back(CanonicalWithXids(*doc));
     }
   }
 
-  // One step's report against the reference; DiffBatch reports also
-  // carry the delta size.
-  const auto report_agrees = [&](const std::string& path, int step,
-                                 const Result<Warehouse::IngestReport>& report,
-                                 bool has_delta_bytes) {
-    const std::string where =
-        path + " step " + std::to_string(step + 1) + ": ";
-    if (!report.ok()) {
-      fail(where + report.status().ToString());
-      return false;
-    }
-    if (report->version != step + 1 || report->operations != ref_ops[step]) {
-      fail(where + "version " + std::to_string(report->version) + " with " +
-           std::to_string(report->operations) + " operations, reference " +
-           std::to_string(ref_ops[step]));
-      return false;
-    }
-    if (has_delta_bytes && report->delta_bytes != ref_bytes[step]) {
-      fail(where + "delta_bytes " + std::to_string(report->delta_bytes) +
-           ", reference serializes to " + std::to_string(ref_bytes[step]));
-      return false;
-    }
-    return true;
-  };
-  // Every stored version of `url` against the reference.
-  const auto versions_agree = [&](const std::string& path,
-                                  const Warehouse& warehouse,
-                                  const std::string& url) {
-    for (int version = 1; version <= kVersions; ++version) {
-      Result<XmlDocument> doc = warehouse.Checkout(url, version);
-      if (!doc.ok() || CanonicalWithXids(*doc) != ref_versions[version - 1]) {
-        fail(path + " disagrees with the reference on version " +
-             std::to_string(version) + " of " + url);
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // (b) Ingest.
-  {
-    Warehouse warehouse;
-    for (int step = 0; step < kVersions; ++step) {
-      Result<XmlDocument> doc = ParseXml(texts[step]);
-      if (!doc.ok()) {
-        fail("Ingest: reparse failed: " + doc.status().ToString());
-        return;
-      }
-      if (!report_agrees("Ingest", step,
-                         warehouse.Ingest("doc", std::move(*doc)),
-                         /*has_delta_bytes=*/false)) {
-        return;
-      }
-    }
-    if (!versions_agree("Ingest", warehouse, "doc")) return;
-  }
-
-  // (c) and (d) DiffBatch.
-  for (const int threads : {1, 4}) {
-    const std::string path = "DiffBatch@" + std::to_string(threads);
-    const int urls = threads;
+  // (b), (c) and (d); 0 threads stands for Ingest.
+  for (const int threads : {0, 1, 4}) {
+    const std::string path =
+        threads == 0 ? "Ingest" : "DiffBatch@" + std::to_string(threads);
+    const int urls = std::max(1, threads);
     Warehouse warehouse;
     Warehouse::PipelineOptions pipeline;
     pipeline.threads = threads;
     for (int step = 0; step < kVersions; ++step) {
-      std::vector<Warehouse::DiffJob> jobs;
-      for (int u = 0; u < urls; ++u) {
-        jobs.push_back({"doc" + std::to_string(u), texts[step]});
+      std::vector<Result<Warehouse::IngestReport>> reports;
+      if (threads == 0) {
+        Result<XmlDocument> doc = ParseXml(texts[step]);
+        if (!doc.ok()) return fail(path, doc.status().ToString());
+        reports.push_back(warehouse.Ingest("doc0", std::move(*doc)));
+      } else {
+        std::vector<Warehouse::DiffJob> jobs;
+        for (int u = 0; u < urls; ++u) {
+          jobs.push_back({"doc" + std::to_string(u), texts[step]});
+        }
+        reports = warehouse.DiffBatch(std::move(jobs), pipeline);
       }
-      const std::vector<Result<Warehouse::IngestReport>> reports =
-          warehouse.DiffBatch(std::move(jobs), pipeline);
+      const std::string where = "step " + std::to_string(step + 1) + ": ";
       for (const Result<Warehouse::IngestReport>& report : reports) {
-        if (!report_agrees(path, step, report, /*has_delta_bytes=*/step > 0)) {
-          return;
+        if (!report.ok()) return fail(path, where + report.status().ToString());
+        if (report->version != step + 1 ||
+            report->operations != ref_operations[step]) {
+          return fail(path, where + "version " +
+                                std::to_string(report->version) + " with " +
+                                std::to_string(report->operations) +
+                                " operations, reference " +
+                                std::to_string(ref_operations[step]));
+        }
+        if (threads > 0 && report->delta_bytes != ref_delta_bytes[step]) {
+          return fail(path, where + "delta_bytes " +
+                                std::to_string(report->delta_bytes) +
+                                ", reference delta serializes to " +
+                                std::to_string(ref_delta_bytes[step]));
         }
       }
     }
     for (int u = 0; u < urls; ++u) {
-      if (!versions_agree(path, warehouse, "doc" + std::to_string(u))) return;
+      const std::string url = "doc" + std::to_string(u);
+      for (int version = 1; version <= kVersions; ++version) {
+        Result<XmlDocument> doc = warehouse.Checkout(url, version);
+        if (!doc.ok() ||
+            CanonicalWithXids(*doc) != ref_versions[version - 1]) {
+          return fail(path, "disagrees with the reference on version " +
+                                std::to_string(version) + " of " + url);
+        }
+      }
     }
   }
 }

@@ -1,12 +1,10 @@
 #include "version/site_diff.h"
 
-#include <algorithm>
-#include <atomic>
 #include <map>
 #include <unordered_map>
 
 #include "core/buld.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "xml/parser.h"
 
 namespace xydiff {
@@ -176,38 +174,24 @@ std::vector<Result<SiteDiffResult>> DiffSitesBatch(
   for (size_t i = 0; i < jobs.size(); ++i) {
     results.emplace_back(Status::Corruption("site diff never ran"));
   }
-  if (jobs.empty()) return results;
-
   // Pairs share nothing — each worker parses its pair into fresh arenas
-  // and runs the whole site diff; the only shared state is the claim
-  // index. Results land in pre-sized slots, so no output lock either.
-  std::atomic<size_t> next_job{0};
-  const int worker_count =
-      std::max(1, std::min<int>(threads, static_cast<int>(jobs.size())));
-  ThreadPool pool(worker_count);
-  for (int w = 0; w < worker_count; ++w) {
-    pool.Submit([&jobs, &results, &next_job, &options] {
-      for (size_t index = next_job.fetch_add(1, std::memory_order_relaxed);
-           index < jobs.size();
-           index = next_job.fetch_add(1, std::memory_order_relaxed)) {
-        Result<XmlDocument> old_site = ParseXml(jobs[index].old_xml);
-        if (!old_site.ok()) {
-          results[index] = Status::ParseError("old snapshot: " +
-                                              old_site.status().ToString());
-          continue;
-        }
-        Result<XmlDocument> new_site = ParseXml(jobs[index].new_xml);
-        if (!new_site.ok()) {
-          results[index] = Status::ParseError("new snapshot: " +
-                                              new_site.status().ToString());
-          continue;
-        }
-        results[index] =
-            DiffSites(&old_site.value(), &new_site.value(), options);
-      }
-    });
-  }
-  pool.Wait();
+  // and runs the whole site diff. Results land in pre-sized slots, so no
+  // output lock either.
+  ParallelFor(threads, jobs.size(), [&](size_t index) {
+    Result<XmlDocument> old_site = ParseXml(jobs[index].old_xml);
+    if (!old_site.ok()) {
+      results[index] =
+          Status::ParseError("old snapshot: " + old_site.status().ToString());
+      return;
+    }
+    Result<XmlDocument> new_site = ParseXml(jobs[index].new_xml);
+    if (!new_site.ok()) {
+      results[index] =
+          Status::ParseError("new snapshot: " + new_site.status().ToString());
+      return;
+    }
+    results[index] = DiffSites(&old_site.value(), &new_site.value(), options);
+  });
   return results;
 }
 

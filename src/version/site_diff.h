@@ -65,8 +65,9 @@ struct SiteDiffJob {
   std::string new_xml;
 };
 
-/// Diffs many snapshot pairs concurrently on a work-stealing pool of up
-/// to `threads` workers. Each pair is parsed into its own arenas and
+/// Diffs many snapshot pairs concurrently on up to `threads` ParallelFor
+/// workers, one pair start to finish per claim. Each pair is parsed into
+/// its own arenas and
 /// diffed independently (site pairs share no state), so scaling is
 /// per-document, like Warehouse::DiffBatch. Results come back in input
 /// order; a malformed pair fails only its own slot.

@@ -5,11 +5,13 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string_view>
 #include <unordered_set>
 
 #include "delta/delta_xml.h"
 #include "delta/node_index.h"
+#include "util/parallel_for.h"
 #include "util/retry.h"
 #include "util/string_util.h"
 #include "version/storage.h"
@@ -19,18 +21,70 @@ namespace xydiff {
 
 namespace {
 
-/// The store stage's retry policy, derived from the pipeline knobs.
-/// The jitter seed mixes in a per-call salt so concurrent flush groups
-/// retrying the same transient fault desynchronize deterministically.
-RetryPolicy StoreRetryPolicy(int max_retries, int backoff_ms, uint64_t salt) {
-  RetryPolicy policy;
-  policy.max_retries = max_retries;
-  policy.backoff_ms = backoff_ms;
-  policy.jitter_seed = 0x5EEDF00DULL ^ salt;
-  return policy;
+/// Lock-free running maximum: raises `target` to at least `value`, for
+/// high-water marks sampled from many workers at once.
+void UpdateAtomicMax(std::atomic<size_t>& target, size_t value) {
+  size_t current = target.load(std::memory_order_relaxed);
+  while (value > current &&
+         !target.compare_exchange_weak(current, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+/// One result slot per batch item, preset to `never_ran`, except that a
+/// URL repeated within the batch is rejected up front: distinct URLs
+/// keep the slots independent, so workers never race two ingests of one
+/// document.
+template <typename Batch, typename UrlOf>
+std::vector<Result<Warehouse::IngestReport>> PresetBatchResults(
+    const Batch& batch, UrlOf url_of, const char* never_ran) {
+  std::vector<Result<Warehouse::IngestReport>> results;
+  results.reserve(batch.size());
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(batch.size());
+  for (const auto& item : batch) {
+    const std::string& url = url_of(item);
+    if (seen.insert(url).second) {
+      results.emplace_back(Status::Corruption(never_ran));
+    } else {
+      results.emplace_back(
+          Status::InvalidArgument("duplicate URL in batch: " + url));
+    }
+  }
+  return results;
+}
+
+/// True for a slot PresetBatchResults rejected as a repeated URL.
+bool IsDuplicateSlot(const Result<Warehouse::IngestReport>& slot) {
+  return !slot.ok() && slot.status().code() == StatusCode::kInvalidArgument;
 }
 
 }  // namespace
+
+std::string PipelineStats::ToString() const {
+  std::string out;
+  char line[160];
+  std::snprintf(line, sizeof(line), "%-10s %10s %8s %8s\n", "stage", "items",
+                "failed", "retries");
+  out += line;
+  for (const StageStats& s : stages) {
+    std::snprintf(line, sizeof(line), "%-10s %10zu %8zu %8zu\n",
+                  s.name.c_str(), s.items, s.failed, s.retries);
+    out += line;
+  }
+  std::snprintf(line, sizeof(line),
+                "peak in flight %zu, degraded slots %zu, wall %.3f s\n",
+                peak_in_flight, degraded_slots, wall_seconds);
+  out += line;
+  if (shed_slots + quarantined_slots + deadline_slots + cancelled_slots > 0) {
+    std::snprintf(line, sizeof(line),
+                  "shed %zu, quarantined %zu, deadline %zu, cancelled %zu\n",
+                  shed_slots, quarantined_slots, deadline_slots,
+                  cancelled_slots);
+    out += line;
+  }
+  return out;
+}
 
 Status Warehouse::Subscribe(std::string id, std::string_view path_expression,
                             std::optional<ChangeKind> kind,
@@ -188,36 +242,13 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
 
 std::vector<Result<Warehouse::IngestReport>> Warehouse::IngestBatch(
     std::vector<std::pair<std::string, XmlDocument>> batch, int threads) {
-  std::vector<Result<IngestReport>> results;
-  results.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    results.emplace_back(Status::Corruption("ingest never ran"));
-  }
-  // Distinct URLs within one batch make items fully independent.
-  {
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!seen.insert(batch[i].first).second) {
-        results[i] = Status::InvalidArgument("duplicate URL in batch: " +
-                                             batch[i].first);
-      }
-    }
-  }
-
-  const int worker_count =
-      std::max(1, std::min<int>(threads, static_cast<int>(batch.size())));
-  ThreadPool pool(worker_count);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!results[i].ok() &&
-        results[i].status().code() == StatusCode::kInvalidArgument) {
-      continue;  // Pre-flagged duplicate.
-    }
-    pool.Submit([this, i, &batch, &results] {
-      results[i] = Ingest(batch[i].first, std::move(batch[i].second));
-    });
-  }
-  pool.Wait();
+  std::vector<Result<IngestReport>> results = PresetBatchResults(
+      batch, [](const auto& item) -> const std::string& { return item.first; },
+      "ingest never ran");
+  ParallelFor(threads, batch.size(), [&](size_t i) {
+    if (IsDuplicateSlot(results[i])) return;
+    results[i] = Ingest(batch[i].first, std::move(batch[i].second));
+  });
   return results;
 }
 
@@ -227,43 +258,17 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   using Clock = std::chrono::steady_clock;
   const auto batch_start = Clock::now();
 
-  std::vector<Result<IngestReport>> results;
-  results.reserve(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    results.emplace_back(Status::Corruption("pipeline never ran"));
-  }
-  {
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (!seen.insert(jobs[i].url).second) {
-        results[i] = Status::InvalidArgument("duplicate URL in batch: " +
-                                             jobs[i].url);
-      }
-    }
-  }
+  std::vector<Result<IngestReport>> results = PresetBatchResults(
+      jobs, [](const DiffJob& job) -> const std::string& { return job.url; },
+      "pipeline never ran");
 
-  struct ParsedItem {
-    size_t index;
-    XmlDocument doc;
-  };
-  // Stage hand-off queues. Capacities bound how many parsed documents
-  // can pile up ahead of the diff stage — the pipeline's working-set
-  // ceiling (backpressure), not a correctness requirement.
-  BoundedQueue<ParsedItem> diff_queue(pipeline.queue_capacity);
-  BoundedQueue<size_t> store_queue(pipeline.queue_capacity);
-
-  std::atomic<size_t> next_job{0};
-  std::atomic<size_t> done_count{0};
   std::atomic<size_t> in_flight{0};
   std::atomic<size_t> peak_in_flight{0};
   std::atomic<size_t> parse_items{0}, parse_failed{0};
-  std::atomic<size_t> parse_peak_backlog{0};
   std::atomic<size_t> diff_items{0}, diff_failed{0};
   std::atomic<size_t> store_items{0}, store_failed{0}, store_retries{0};
   std::atomic<size_t> degraded_slots{0};
   std::atomic<bool> batch_failed{false};
-  std::atomic<uint64_t> parse_stall_ns{0}, diff_stall_ns{0};
   // Overload accounting: slots declined or abandoned, by cause.
   std::atomic<size_t> shed_count{0}, quarantined_count{0};
   std::atomic<size_t> deadline_count{0}, cancelled_count{0};
@@ -272,52 +277,34 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   // Flush-group ordinal, salting the retry jitter stream per group.
   std::atomic<uint64_t> flush_ordinal{0};
 
-  // Classifies a context error into the overload counters and fails the
-  // slot with it. `failed_while_processing` feeds the circuit breaker:
-  // a slot whose own processing blew the deadline counts against its
-  // URL (repeated time-outs quarantine the input), a slot that was
-  // merely never admitted does not.
-  const auto fail_slot_with_context_error = [&](size_t index,
-                                                const Status& status,
-                                                bool failed_while_processing) {
+  const auto count_context_error = [&](const Status& status) {
     if (status.code() == StatusCode::kCancelled) {
       cancelled_count.fetch_add(1, std::memory_order_relaxed);
     } else {
       deadline_count.fetch_add(1, std::memory_order_relaxed);
     }
-    if (failed_while_processing) {
-      RecordBreakerOutcome(jobs[index].url, /*success=*/false, pipeline);
-    }
-    results[index] = status;
   };
-
-  const int worker_count = std::max(
-      1, std::min<int>(pipeline.threads, static_cast<int>(
-                                             std::max<size_t>(1, jobs.size()))));
-  // A worker carries its slot straight into the next stage while queues
-  // are shallow: the hand-off (queue lock, deque churn, another worker's
-  // wakeup) costs more than it buys when nobody is waiting for work.
-  // Queues only come into play once they hold enough for every worker.
-  const size_t carry_threshold = static_cast<size_t>(worker_count);
-
-  const auto finish_item = [&](size_t) {
-    in_flight.fetch_sub(1, std::memory_order_relaxed);
-    done_count.fetch_add(1, std::memory_order_acq_rel);
+  // Fails a slot whose own processing blew the deadline: it counts
+  // against its URL's breaker (repeated time-outs quarantine the input).
+  const auto fail_slot_with_context_error = [&](size_t index,
+                                                const Status& status) {
+    count_context_error(status);
+    RecordBreakerOutcome(jobs[index].url, /*success=*/false, pipeline);
+    results[index] = status;
   };
 
   // Group commit: finished slots park here until a full group (or the
   // batch tail) flushes them through ONE SaveRepositoryBatch — one
   // journal fsync + parent sync for the whole group instead of a
   // manifest rename + directory sync per slot.
-  const bool group_commit = !pipeline.save_directory.empty() &&
-                            pipeline.group_commit_slots > 1;
   Mutex group_mutex;
   std::vector<size_t> parked_slots;
 
-  // Persists one flushed group. Annotation opt-out: the per-document
-  // locks are taken in a loop (URL order), which the static analysis
-  // cannot follow. The order is deadlock-free — group flushers agree on
-  // it, and every other path holds at most one document lock at a time.
+  // Persists one flushed group, then finishes its slots. Annotation
+  // opt-out: the per-document locks are taken in a loop (URL order),
+  // which the static analysis cannot follow. The order is deadlock-free
+  // — group flushers agree on it, and every other path holds at most
+  // one document lock at a time.
   const auto flush_group = [&](std::vector<size_t> group)
       XY_NO_THREAD_SAFETY_ANALYSIS {
     if (group.empty()) return;
@@ -344,15 +331,19 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
             docs[g]->repo.get(), SanitizeUrl(results[group[g]]->url)});
       }
     }
+    // Deadline-aware, jittered retry around the group commit; the jitter
+    // seed is salted per group so concurrent groups retrying the same
+    // transient fault desynchronize deterministically. The context is
+    // also threaded INTO SaveRepositoryBatch, which checks it between
+    // slots and before — never after — the journal write, so a deadline
+    // mid-save leaves disk bit-exactly pre-batch.
+    RetryPolicy policy;
+    policy.max_retries = pipeline.max_io_retries;
+    policy.backoff_ms = pipeline.retry_backoff_ms;
+    policy.jitter_seed = 0x5EEDF00DULL ^ flush_ordinal.fetch_add(1);
     size_t group_retries = 0;
-    // Deadline-aware, jittered retry around the group commit. The
-    // context is also threaded INTO SaveRepositoryBatch, which checks
-    // it between slots and before — never after — the journal write, so
-    // a deadline mid-save leaves disk bit-exactly pre-batch.
     const Status saved = RetryTransient(
-        StoreRetryPolicy(pipeline.max_io_retries, pipeline.retry_backoff_ms,
-                         flush_ordinal.fetch_add(1)),
-        pipeline.context,
+        policy, pipeline.context,
         [&] {
           return SaveRepositoryBatch(slots, pipeline.save_directory,
                                      pipeline.env, pipeline.context);
@@ -366,11 +357,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       // The in-memory ingests stand; only persistence was cut short.
       // Count once per group under the deadline/cancel columns so the
       // overload report shows WHY the disk is behind.
-      if (saved.code() == StatusCode::kCancelled) {
-        cancelled_count.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        deadline_count.fetch_add(1, std::memory_order_relaxed);
-      }
+      count_context_error(saved);
     }
     // The commit is shared, so its cost and its outcome are attributed
     // to every slot in the group: all-or-nothing on disk.
@@ -385,323 +372,152 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       if (group_retries > 0 || report.store_degraded) {
         degraded_slots.fetch_add(1, std::memory_order_relaxed);
       }
-      finish_item(index);
     }
+    in_flight.fetch_sub(group.size(), std::memory_order_relaxed);
   };
 
-  // Stage 3: serialize the committed delta, account its size, and (when
-  // the batch persists) write the document's repository crash-safely.
-  // Transient I/O errors are retried with backoff; a slot whose
-  // persistence still fails is *degraded*, not failed — the in-memory
-  // ingest stands, and the report says the disk does not have it.
-  const auto store_one = [&](size_t index) {
-    store_items.fetch_add(1, std::memory_order_relaxed);
-    IngestReport& report = *results[index];
-    Document* doc = FindDocument(report.url);
-    if (doc != nullptr) {
-      MutexLock doc_lock(doc->mutex);
-      if (doc->repo != nullptr) {
-        Result<const Delta*> delta = doc->repo->DeltaFor(report.version - 1);
-        if (delta.ok()) {
-          report.delta_bytes = SerializeDelta(**delta).size();
-        }
-        if (!pipeline.save_directory.empty() && !group_commit) {
-          const Status saved = RetryTransient(
-              StoreRetryPolicy(pipeline.max_io_retries,
-                               pipeline.retry_backoff_ms, index),
-              pipeline.context,
-              [&] {
-                return SaveRepository(*doc->repo,
-                                      pipeline.save_directory + "/" +
-                                          SanitizeUrl(report.url),
-                                      pipeline.env);
-              },
-              &report.store_retries);
-          RecordStoreHealth(saved, pipeline);
-          if (!saved.ok()) {
-            report.store_degraded = true;
-            store_failed.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (report.store_retries > 0 || report.store_degraded) {
-            degraded_slots.fetch_add(1, std::memory_order_relaxed);
-          }
-          store_retries.fetch_add(report.store_retries,
-                                  std::memory_order_relaxed);
-        }
+  // Admission control (DESIGN.md §3.17), checked when a worker claims
+  // the slot and before it consumes any resources. A non-OK status is
+  // the slot's rejection.
+  const auto admission = [&](size_t i) -> Status {
+    if (pipeline.fail_fast && batch_failed.load(std::memory_order_acquire)) {
+      // Not a failure of this slot's own making: Aborted, so callers can
+      // tell "skipped by fail-fast" from real errors.
+      return Status::Aborted("slot skipped: fail-fast after an earlier "
+                             "slot failed");
+    }
+    if (degraded_.load(std::memory_order_acquire)) {
+      quarantined_count.fetch_add(1, std::memory_order_relaxed);
+      return Status::Unavailable(
+          "warehouse degraded (persistent store IOError): slot "
+          "rejected, reads still served: " + jobs[i].url);
+    }
+    if (pipeline.context != nullptr) {
+      // A slot never admitted does not count against its URL's breaker.
+      Status live = pipeline.context->Check();
+      if (!live.ok()) {
+        count_context_error(live);
+        return live;
       }
     }
-    if (group_commit) {
-      // Park the slot; its finish_item runs when the group flushes.
-      std::vector<size_t> full;
-      {
-        MutexLock lock(group_mutex);
-        parked_slots.push_back(index);
-        if (parked_slots.size() >= pipeline.group_commit_slots) {
-          full.swap(parked_slots);
-        }
-      }
-      flush_group(std::move(full));
-      return;
+    if (!BreakerAdmits(jobs[i].url, pipeline)) {
+      quarantined_count.fetch_add(1, std::memory_order_relaxed);
+      return Status::Unavailable(
+          "quarantined by circuit breaker after repeated failures: " +
+          jobs[i].url);
     }
-    finish_item(index);
+    const size_t slot_bytes = jobs[i].xml.size();
+    if (pipeline.max_document_bytes != 0 &&
+        slot_bytes > pipeline.max_document_bytes) {
+      shed_count.fetch_add(1, std::memory_order_relaxed);
+      return Status::ResourceExhausted(
+          "document exceeds max_document_bytes, shed: " + jobs[i].url);
+    }
+    if (pipeline.max_batch_bytes != 0) {
+      const size_t before =
+          admitted_bytes.fetch_add(slot_bytes, std::memory_order_relaxed);
+      if (before + slot_bytes > pipeline.max_batch_bytes) {
+        // Give the reservation back so a smaller later slot may fit.
+        admitted_bytes.fetch_sub(slot_bytes, std::memory_order_relaxed);
+        shed_count.fetch_add(1, std::memory_order_relaxed);
+        return Status::ResourceExhausted(
+            "batch byte budget exhausted, slot shed: " + jobs[i].url);
+      }
+    }
+    return Status::OK();
   };
 
-  // Pushing into a full queue: drain one item of that queue inline
-  // (this worker becomes the downstream stage), so a fixed-size pool
-  // can never deadlock on backpressure. Time spent here is "stall".
-  const auto push_store = [&](size_t index) {
-    if (store_queue.size() < carry_threshold) {
-      store_one(index);  // Carry the slot through; no hand-off.
-      return;
+  // One admitted slot, start to finish: parse → diff → delta accounting
+  // → park for group commit. True when the slot was parked — it stays in
+  // flight until its group flushes. A parse or diff error fails only
+  // this slot, and arms fail-fast and the URL's circuit breaker.
+  const auto run_admitted = [&](size_t i) {
+    parse_items.fetch_add(1, std::memory_order_relaxed);
+    // A recycled arena keeps its largest block, so steady-state slots
+    // parse without touching malloc for node storage at all.
+    ParseOptions parse_options;
+    parse_options.arena = arena_pool_.Acquire(
+        std::min(std::max(jobs[i].xml.size(), Arena::kDefaultFirstBlock),
+                 Arena::kMaxBlock));
+    Result<XmlDocument> doc = ParseXml(jobs[i].xml, parse_options);
+    if (!doc.ok()) {
+      parse_failed.fetch_add(1, std::memory_order_relaxed);
+      batch_failed.store(true, std::memory_order_release);
+      RecordBreakerOutcome(jobs[i].url, /*success=*/false, pipeline);
+      results[i] = Status::ParseError("cannot parse " + jobs[i].url + ": " +
+                                      doc.status().message());
+      return false;
     }
-    const auto start = Clock::now();
-    bool stalled = false;
-    while (!store_queue.TryPush(index)) {
-      stalled = true;
-      if (std::optional<size_t> other = store_queue.TryPop()) {
-        store_one(*other);
-      }
-    }
-    if (stalled) {
-      diff_stall_ns.fetch_add(
-          static_cast<uint64_t>((Clock::now() - start).count()),
-          std::memory_order_relaxed);
-    }
-  };
 
-  // Stage 2: the diff pipeline proper (diff + chain append + alerter;
-  // index and statistics follow the batch's monitor policy), then hand
-  // off to the store stage.
-  const auto diff_one = [&](ParsedItem item) {
     diff_items.fetch_add(1, std::memory_order_relaxed);
-    // Stage boundary check-point: a slot parked in the diff queue past
-    // the deadline fails here instead of running a doomed diff.
+    // A slot whose parse outlived the deadline fails here instead of
+    // running a doomed diff.
     if (pipeline.context != nullptr) {
       const Status live = pipeline.context->Check();
       if (!live.ok()) {
         diff_failed.fetch_add(1, std::memory_order_relaxed);
-        fail_slot_with_context_error(item.index, live,
-                                     /*failed_while_processing=*/true);
-        finish_item(item.index);
-        return;
+        fail_slot_with_context_error(i, live);
+        return false;
       }
     }
-    results[item.index] = IngestInternal(jobs[item.index].url,
-                                         std::move(item.doc),
-                                         pipeline.defer_monitor_updates,
-                                         pipeline.context);
-    if (!results[item.index].ok()) {
+    results[i] = IngestInternal(jobs[i].url, std::move(*doc),
+                                /*defer_monitors=*/true, pipeline.context);
+    if (!results[i].ok()) {
       diff_failed.fetch_add(1, std::memory_order_relaxed);
-      const Status& status = results[item.index].status();
+      const Status& status = results[i].status();
       if (IsContextError(status.code())) {
-        fail_slot_with_context_error(item.index, status,
-                                     /*failed_while_processing=*/true);
+        fail_slot_with_context_error(i, status);
       } else {
         // Context deaths are not the batch's fault; everything else is
         // and arms fail-fast + the slot's circuit breaker.
         batch_failed.store(true, std::memory_order_release);
-        RecordBreakerOutcome(jobs[item.index].url, /*success=*/false,
-                             pipeline);
+        RecordBreakerOutcome(jobs[i].url, /*success=*/false, pipeline);
       }
-      finish_item(item.index);
-      return;
+      return false;
     }
-    RecordBreakerOutcome(jobs[item.index].url, /*success=*/true, pipeline);
-    if (results[item.index]->first_version) {
-      finish_item(item.index);  // No delta to store for version 1.
-      return;
+    RecordBreakerOutcome(jobs[i].url, /*success=*/true, pipeline);
+    if (results[i]->first_version) return false;  // No delta to store.
+
+    store_items.fetch_add(1, std::memory_order_relaxed);
+    IngestReport& report = *results[i];
+    if (Document* stored = FindDocument(report.url); stored != nullptr) {
+      MutexLock doc_lock(stored->mutex);
+      if (stored->repo != nullptr) {
+        Result<const Delta*> delta = stored->repo->DeltaFor(report.version - 1);
+        if (delta.ok()) report.delta_bytes = SerializeDelta(**delta).size();
+      }
     }
-    push_store(item.index);
+    if (pipeline.save_directory.empty()) return false;
+    std::vector<size_t> full;
+    {
+      MutexLock lock(group_mutex);
+      parked_slots.push_back(i);
+      if (parked_slots.size() >= kGroupCommitSlots) full.swap(parked_slots);
+    }
+    flush_group(std::move(full));
+    return true;
   };
 
-  const auto push_diff = [&](ParsedItem item) {
-    if (diff_queue.size() < carry_threshold) {
-      diff_one(std::move(item));  // Carry the slot through; no hand-off.
+  ParallelFor(pipeline.threads, jobs.size(), [&](size_t i) {
+    if (IsDuplicateSlot(results[i])) return;
+    if (Status admitted = admission(i); !admitted.ok()) {
+      results[i] = std::move(admitted);
       return;
     }
-    const auto start = Clock::now();
-    bool stalled = false;
-    while (!diff_queue.TryPush(std::move(item))) {
-      stalled = true;
-      if (std::optional<ParsedItem> other = diff_queue.TryPop()) {
-        diff_one(std::move(*other));
-      }
-    }
-    if (stalled) {
-      parse_stall_ns.fetch_add(
-          static_cast<uint64_t>((Clock::now() - start).count()),
-          std::memory_order_relaxed);
-    }
-  };
-
-  // Stage 1: parse the raw crawl bytes into an arena-backed document.
-  const auto parse_one = [&](size_t index) {
-    const size_t now_in_flight =
-        in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
-    UpdateAtomicMax(peak_in_flight, now_in_flight);
-    // The parse stage's backlog is the admission queue itself: every job
-    // not yet claimed is waiting to be parsed.
-    UpdateAtomicMax(parse_peak_backlog, jobs.size() - index);
-    parse_items.fetch_add(1, std::memory_order_relaxed);
-    ParseOptions parse_options;
-    if (pipeline.reuse_arenas) {
-      // A recycled arena keeps its largest block, so steady-state slots
-      // parse without touching malloc for node storage at all.
-      parse_options.arena = arena_pool_.Acquire(
-          std::min(std::max(jobs[index].xml.size(), Arena::kDefaultFirstBlock),
-                   Arena::kMaxBlock));
-    }
-    Result<XmlDocument> doc = ParseXml(jobs[index].xml, parse_options);
-    if (!doc.ok()) {
-      parse_failed.fetch_add(1, std::memory_order_relaxed);
-      batch_failed.store(true, std::memory_order_release);
-      RecordBreakerOutcome(jobs[index].url, /*success=*/false, pipeline);
-      results[index] = Status::ParseError("cannot parse " + jobs[index].url +
-                                          ": " + doc.status().message());
-      finish_item(index);
-      return;
-    }
-    push_diff(ParsedItem{index, std::move(*doc)});
-  };
-
-  // Count pre-flagged duplicates as already done.
-  size_t preflagged = 0;
-  for (const Result<IngestReport>& r : results) {
-    if (!r.ok() && r.status().code() == StatusCode::kInvalidArgument) {
-      ++preflagged;
-    }
-  }
-  done_count.store(preflagged, std::memory_order_relaxed);
-
-  // Every pool worker runs the same loop and prefers downstream stages,
-  // so completed work leaves the pipeline as fast as it entered.
-  const auto worker = [&] {
-    for (;;) {
-      if (std::optional<size_t> s = store_queue.TryPop()) {
-        store_one(*s);
-        continue;
-      }
-      if (std::optional<ParsedItem> d = diff_queue.TryPop()) {
-        diff_one(std::move(*d));
-        continue;
-      }
-      const size_t i = next_job.fetch_add(1, std::memory_order_relaxed);
-      if (i < jobs.size()) {
-        if (!results[i].ok() &&
-            results[i].status().code() == StatusCode::kInvalidArgument) {
-          continue;  // Pre-flagged duplicate.
-        }
-        if (pipeline.fail_fast &&
-            batch_failed.load(std::memory_order_acquire)) {
-          // Not a failure of this slot's own making: Aborted, so callers
-          // can tell "skipped by fail-fast" from real errors.
-          results[i] = Status::Aborted("slot skipped: fail-fast after an "
-                                       "earlier slot failed");
-          done_count.fetch_add(1, std::memory_order_acq_rel);
-          continue;
-        }
-        // --- Admission control (DESIGN.md §3.17). Checked at claim time,
-        // before the slot consumes any pipeline resources. Rejected slots
-        // were never in flight, so they bypass finish_item.
-        if (degraded_.load(std::memory_order_acquire)) {
-          quarantined_count.fetch_add(1, std::memory_order_relaxed);
-          results[i] = Status::Unavailable(
-              "warehouse degraded (persistent store IOError): slot "
-              "rejected, reads still served: " + jobs[i].url);
-          done_count.fetch_add(1, std::memory_order_acq_rel);
-          continue;
-        }
-        if (pipeline.context != nullptr) {
-          const Status live = pipeline.context->Check();
-          if (!live.ok()) {
-            fail_slot_with_context_error(i, live,
-                                         /*failed_while_processing=*/false);
-            done_count.fetch_add(1, std::memory_order_acq_rel);
-            continue;
-          }
-        }
-        if (!BreakerAdmits(jobs[i].url, pipeline)) {
-          quarantined_count.fetch_add(1, std::memory_order_relaxed);
-          results[i] = Status::Unavailable(
-              "quarantined by circuit breaker after repeated failures: " +
-              jobs[i].url);
-          done_count.fetch_add(1, std::memory_order_acq_rel);
-          continue;
-        }
-        const size_t slot_bytes = jobs[i].xml.size();
-        if (pipeline.max_document_bytes != 0 &&
-            slot_bytes > pipeline.max_document_bytes) {
-          shed_count.fetch_add(1, std::memory_order_relaxed);
-          results[i] = Status::ResourceExhausted(
-              "document exceeds max_document_bytes, shed: " + jobs[i].url);
-          done_count.fetch_add(1, std::memory_order_acq_rel);
-          continue;
-        }
-        if (pipeline.max_batch_bytes != 0) {
-          const size_t before =
-              admitted_bytes.fetch_add(slot_bytes, std::memory_order_relaxed);
-          if (before + slot_bytes > pipeline.max_batch_bytes) {
-            // Give the reservation back so a smaller later slot may fit.
-            admitted_bytes.fetch_sub(slot_bytes, std::memory_order_relaxed);
-            shed_count.fetch_add(1, std::memory_order_relaxed);
-            results[i] = Status::ResourceExhausted(
-                "batch byte budget exhausted, slot shed: " + jobs[i].url);
-            done_count.fetch_add(1, std::memory_order_acq_rel);
-            continue;
-          }
-        }
-        parse_one(i);
-        continue;
-      }
-      if (done_count.load(std::memory_order_acquire) >= jobs.size()) return;
-      if (group_commit) {
-        // Tail: no admissions and no queued work left, so an under-full
-        // parked group would otherwise wait forever. Flush it partial.
-        std::vector<size_t> partial;
-        {
-          MutexLock lock(group_mutex);
-          partial.swap(parked_slots);
-        }
-        if (!partial.empty()) {
-          flush_group(std::move(partial));
-          continue;
-        }
-      }
-      // Tail: peers still hold items; re-poll shortly.
-      SleepFor(std::chrono::microseconds(50));
-    }
-  };
-
-  {
-    ThreadPool pool(worker_count);
-    for (int t = 0; t < worker_count; ++t) pool.Submit(worker);
-    pool.Wait();
-  }
+    UpdateAtomicMax(peak_in_flight,
+                    in_flight.fetch_add(1, std::memory_order_relaxed) + 1);
+    if (!run_admitted(i)) in_flight.fetch_sub(1, std::memory_order_relaxed);
+  });
+  // Every worker has returned: flush the partial tail group, once.
+  flush_group(std::move(parked_slots));
 
   if (stats != nullptr) {
     *stats = PipelineStats{};
-    StageStats parse_stage;
-    parse_stage.name = "parse";
-    parse_stage.items = parse_items.load();
-    parse_stage.failed = parse_failed.load();
-    // The admission backlog: before this was wired up, BENCH_parallel
-    // always reported parse_peak_queue = 0.
-    parse_stage.peak_queue_depth = parse_peak_backlog.load();
-    parse_stage.stall_seconds =
-        static_cast<double>(parse_stall_ns.load()) * 1e-9;
-    StageStats diff_stage;
-    diff_stage.name = "diff";
-    diff_stage.items = diff_items.load();
-    diff_stage.failed = diff_failed.load();
-    diff_stage.peak_queue_depth = diff_queue.peak_depth();
-    diff_stage.stall_seconds = static_cast<double>(diff_stall_ns.load()) * 1e-9;
-    StageStats store_stage;
-    store_stage.name = "store";
-    store_stage.items = store_items.load();
-    store_stage.failed = store_failed.load();
-    store_stage.retries = store_retries.load();
-    store_stage.peak_queue_depth = store_queue.peak_depth();
-    stats->stages = {parse_stage, diff_stage, store_stage};
+    stats->stages = {
+        StageStats{"parse", parse_items.load(), parse_failed.load()},
+        StageStats{"diff", diff_items.load(), diff_failed.load()},
+        StageStats{"store", store_items.load(), store_failed.load(),
+                   store_retries.load()}};
     stats->peak_in_flight = peak_in_flight.load();
     stats->degraded_slots = degraded_slots.load();
     stats->shed_slots = shed_count.load();

@@ -18,10 +18,47 @@
 #include "util/context.h"
 #include "util/env.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 #include "version/repository.h"
 
 namespace xydiff {
+
+/// Per-stage counters of one DiffBatch run. A slot runs parse → diff →
+/// store start to finish on the worker that claimed it, so no stage ever
+/// waits on a queue: `peak_queue_depth` and `stall_seconds` are always 0.
+/// They stay in the struct for readers outside the library that report
+/// them; ToString omits them.
+struct StageStats {
+  std::string name;
+  size_t items = 0;             ///< Items processed by the stage.
+  size_t failed = 0;            ///< Items that left the pipeline here.
+  size_t retries = 0;           ///< Transient-I/O retries absorbed here.
+  size_t peak_queue_depth = 0;  ///< Always 0: slots are never queued.
+  double stall_seconds = 0;     ///< Always 0: slots never wait on a stage.
+};
+
+/// Counters for a whole DiffBatch run; see DESIGN.md "Parallel warehouse
+/// pipeline" for how to read them.
+struct PipelineStats {
+  std::vector<StageStats> stages;
+  size_t peak_in_flight = 0;  ///< Max admitted slots not yet finished,
+                              ///< including slots parked for group commit.
+  size_t degraded_slots = 0;  ///< Slots that succeeded only after retries,
+                              ///< or completed without their side effects
+                              ///< (e.g. persistence gave up) — per-slot
+                              ///< degradation, distinct from failures.
+  // Overload accounting (DESIGN.md §3.17). These four partition the
+  // slots that the pipeline declined or abandoned, by cause:
+  size_t shed_slots = 0;        ///< Admission control: a byte/slot budget
+                                ///< would be exceeded (kResourceExhausted).
+  size_t quarantined_slots = 0; ///< Circuit breaker open for the URL, or
+                                ///< warehouse degraded (kUnavailable).
+  size_t deadline_slots = 0;    ///< Context deadline fired (kDeadlineExceeded).
+  size_t cancelled_slots = 0;   ///< Context cancelled (kCancelled).
+  double wall_seconds = 0;
+
+  /// Human-readable multi-line table.
+  std::string ToString() const;
+};
 
 /// The dynamic XML warehouse of Figure 1, assembled from the library's
 /// parts: "When a new version of a document V(n) is received (or crawled
@@ -38,11 +75,12 @@ namespace xydiff {
 ///
 /// Ingests of *different* documents are independent; the document map is
 /// sharded by URL hash so concurrent ingests only contend when their
-/// URLs share a shard. `IngestBatch` spreads pre-parsed documents over a
-/// work-stealing pool; `DiffBatch` is the full crawler hand-off — raw
-/// XML text through a staged parse → diff → store pipeline with bounded
-/// queues and backpressure (see DESIGN.md "Parallel warehouse
-/// pipeline"). All public methods are thread-safe.
+/// URLs share a shard. Both batch entry points spread their items over
+/// ParallelFor workers, one item start to finish per claim: `IngestBatch`
+/// takes pre-parsed documents; `DiffBatch` is the full crawler hand-off
+/// — raw XML text parsed, diffed and group-committed per slot (see
+/// DESIGN.md "Parallel warehouse pipeline"). All public methods are
+/// thread-safe.
 class Warehouse {
  public:
   /// Outcome of one ingest.
@@ -69,15 +107,14 @@ class Warehouse {
   /// Tuning for DiffBatch.
   struct PipelineOptions {
     int threads = 4;
-    /// Bound of each inter-stage queue. Small keeps memory flat (at most
-    /// threads + 2*queue_capacity documents materialized at once);
-    /// large absorbs stage-speed jitter.
-    size_t queue_capacity = 8;
-    /// When non-empty, the store stage persists each updated document's
-    /// repository under `save_directory/<sanitized url>/` (crash-safe,
-    /// see version/storage.h), so a crawler batch survives a crash.
+    /// When non-empty, each updated document's repository is persisted
+    /// under `save_directory/<sanitized url>/` (crash-safe, see
+    /// version/storage.h) by group commit: up to kGroupCommitSlots
+    /// finished slots share ONE SaveRepositoryBatch (one journal fsync +
+    /// directory sync for the whole group), and the partial tail group
+    /// is flushed once after every slot has finished.
     std::string save_directory;
-    /// Env for store-stage persistence; nullptr means Env::Default().
+    /// Env for the group commit; nullptr means Env::Default().
     Env* env = nullptr;
     /// Transient I/O errors (Status kIOError: EIO, ENOSPC...) during
     /// persistence are retried up to this many times with doubling
@@ -91,23 +128,10 @@ class Warehouse {
     /// not-yet-started remainder comes back as Status kAborted. Slots
     /// already in flight still finish (their documents stay consistent).
     bool fail_fast = false;
-    /// Recycle parse arenas across slots through the warehouse's
-    /// ArenaPool instead of malloc'ing a fresh arena per document. The
-    /// pool is thread-sharded, so with shard-affine workers a slot's
-    /// blocks are usually reused warm by the same worker. Off = the
-    /// pre-pool behaviour (one fresh arena per slot), kept for A/B
-    /// testing and the aliasing regression tests.
-    bool reuse_arenas = true;
-    /// Store stage group-commit width: up to this many finished slots
-    /// are persisted by ONE batched crash-safe commit (one journal
-    /// fsync + directory sync for the whole group instead of one
-    /// manifest rename + sync per slot — see SaveRepositoryBatch).
-    /// 1 = per-slot commits (the pre-batch behaviour).
-    size_t group_commit_slots = 8;
     /// Deadline/cancellation for the whole batch (not owned; may be
-    /// null). Checked at admission, at stage boundaries, inside the
-    /// diff's long loops, and in the store stage up to (never past) the
-    /// group-commit journal write. Slots that the context kills come
+    /// null). Checked at admission, after the parse, inside the diff's
+    /// long loops, and in the group commit up to (never past) its
+    /// journal write. Slots that the context kills come
     /// back as kDeadlineExceeded/kCancelled; slots whose in-memory
     /// ingest finished but whose group save was cut short are reported
     /// degraded (in memory yes, on disk no — the journal is the single
@@ -132,23 +156,12 @@ class Warehouse {
     /// through as a probe; one success closes the breaker. Deterministic
     /// (count-based, no wall clock) so tests replay exactly.
     int breaker_probe_interval = 4;
-    /// Degraded mode: after this many consecutive store-stage commits
+    /// Degraded mode: after this many consecutive group commits
     /// failing with persistent IOError, the warehouse flips to degraded
     /// (health().degraded) and rejects further ingest admissions with
     /// kUnavailable while still serving reads (Search/Checkout). A
     /// successful commit, or ResetHealth(), clears it. 0 disables.
     int degrade_after_io_failures = 0;
-    /// Bulk-load mode (default): the batch defers full-text index and
-    /// statistics maintenance out of the ingest critical path — each
-    /// touched document's index is marked stale and rebuilt lazily on
-    /// the next Search(). This is the same contract Load() already has
-    /// ("the index is rebuilt; statistics are derived state"), and it
-    /// keeps the staged pipeline's per-document cost equal to the
-    /// straight-line diff it replaces. Alerts are NEVER deferred: when
-    /// subscriptions are registered they are evaluated inline exactly
-    /// as in Ingest(). Set false to maintain index and statistics
-    /// incrementally inside the batch (the Ingest() behaviour).
-    bool defer_monitor_updates = true;
   };
 
   explicit Warehouse(DiffOptions options = {}) : options_(options) {}
@@ -165,19 +178,21 @@ class Warehouse {
   /// version 1; later sights run the diff pipeline.
   Result<IngestReport> Ingest(const std::string& url, XmlDocument document);
 
-  /// Ingests many pre-parsed documents concurrently on a work-stealing
-  /// pool of up to `threads` workers. URLs must be distinct within one
-  /// batch. Reports come back in input order; a failed document carries
-  /// its error in the result slot.
+  /// Ingests many pre-parsed documents concurrently on up to `threads`
+  /// ParallelFor workers, each through Ingest() — monitors maintained
+  /// inline, no byte budgets or breakers, nothing persisted. URLs must be
+  /// distinct within one batch. Reports come back in input order; a
+  /// failed document carries its error in the result slot.
   std::vector<Result<IngestReport>> IngestBatch(
       std::vector<std::pair<std::string, XmlDocument>> batch, int threads = 4);
 
-  /// Diffs a batch of raw crawled documents through the staged pipeline:
-  /// parse → diff/ingest → serialize+account the delta. Each stage runs
-  /// on the shared work-stealing pool; stages are joined by bounded
-  /// queues, and a worker that cannot hand off downstream drains the
-  /// downstream queue itself, so backpressure never deadlocks and at
-  /// most O(threads + queue_capacity) documents are in memory at once.
+  /// Diffs a batch of raw crawled documents. Up to `pipeline.threads`
+  /// ParallelFor workers claim slots in input order, and each slot runs
+  /// to completion on its worker: admission → parse into a pooled arena
+  /// → diff and chain append (alerts inline; index and statistics
+  /// deferred to the next Search, the contract Load() already has) →
+  /// account delta_bytes → park for group commit. At most `threads`
+  /// parsed documents are in memory at once.
   ///
   /// One malformed document fails only its own slot — the batch always
   /// completes. Reports come back in input order. When `stats` is
@@ -280,6 +295,8 @@ class Warehouse {
     std::map<std::string, Breaker> breakers XY_GUARDED_BY(mutex);
   };
   static constexpr size_t kShards = 16;
+  /// DiffBatch group-commit width (see PipelineOptions::save_directory).
+  static constexpr size_t kGroupCommitSlots = 8;
 
   /// Directory-safe encoding of a URL.
   static std::string SanitizeUrl(const std::string& url);
@@ -333,7 +350,7 @@ class Warehouse {
   mutable Mutex stats_mutex_;
   ChangeStatistics stats_ XY_GUARDED_BY(stats_mutex_);
   // Degraded-mode tracking (plain atomics, not a mutex: updated from
-  // the store stage with document locks held, and a new lock there
+  // the group commit with document locks held, and a new lock there
   // would grow the lock-order graph for two monotonic counters).
   mutable std::atomic<size_t> io_failure_streak_{0};
   mutable std::atomic<bool> degraded_{false};

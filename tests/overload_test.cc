@@ -221,33 +221,33 @@ TEST_F(OverloadStoreTest, PersistentStoreIOErrorDegradesWarehouse) {
   pipeline.env = &env;
   pipeline.max_io_retries = 0;
   pipeline.retry_backoff_ms = 0;
-  // Per-slot commits: the first slot's failed save must flip the
-  // warehouse to degraded BEFORE the second slot is claimed, so the
-  // second is rejected at admission (a tail-flushed group would batch
-  // both slots into one commit and reject neither).
-  pipeline.group_commit_slots = 1;
   pipeline.degrade_after_io_failures = 1;
+  // Nine slots at one thread: slots 1-8 fill the first commit group,
+  // whose failed save flips the warehouse to degraded BEFORE slot 9 is
+  // claimed, so slot 9 is rejected at admission.
+  constexpr size_t kDocs = 9;
 
-  // Round 1: version 1 everywhere — the store stage skips first-sight
-  // slots, so this round succeeds even though the env will later fail.
-  for (const auto& r : warehouse.DiffBatch(MakeJobs(2, 1), pipeline)) {
+  // Round 1: version 1 everywhere — first-sight slots are not
+  // persisted, so this round succeeds even though the env will later
+  // fail.
+  for (const auto& r : warehouse.DiffBatch(MakeJobs(kDocs, 1), pipeline)) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   ASSERT_FALSE(warehouse.health().degraded);
 
   // Round 2: every I/O op fails with (transient-looking but persistent)
-  // IOError. The first slot's commit fails after retries -> the
-  // warehouse degrades; the second slot is rejected at admission.
+  // IOError. The first group's commit fails after retries -> the
+  // warehouse degrades; the ninth slot is rejected at admission.
   env.InjectErrorAt(0, 1 << 20);
-  const auto reports = warehouse.DiffBatch(MakeJobs(2, 2), pipeline);
+  const auto reports = warehouse.DiffBatch(MakeJobs(kDocs, 2), pipeline);
   EXPECT_TRUE(warehouse.health().degraded);
-  size_t unavailable = 0;
-  for (const auto& r : reports) {
-    if (!r.ok() && r.status().code() == StatusCode::kUnavailable) {
-      ++unavailable;
-    }
+  ASSERT_EQ(reports.size(), kDocs);
+  for (size_t i = 0; i + 1 < kDocs; ++i) {
+    ASSERT_TRUE(reports[i].ok()) << reports[i].status().ToString();
+    EXPECT_TRUE(reports[i]->store_degraded) << "slot " << i;
   }
-  EXPECT_GE(unavailable, 1u);
+  ASSERT_FALSE(reports[kDocs - 1].ok());
+  EXPECT_EQ(reports[kDocs - 1].status().code(), StatusCode::kUnavailable);
 
   // Degraded mode: ingest is rejected...
   Result<XmlDocument> doc = ParseXml(SmallDoc(9, 1));

@@ -1,24 +1,26 @@
-// The staged DiffBatch pipeline (parse → diff → store over the
-// work-stealing pool) must be a *refinement* of the sequential ingest
+// DiffBatch (each slot parsed, diffed and stored start to finish on one
+// ParallelFor worker) must be a *refinement* of the sequential ingest
 // path: same results, same stored versions, independent of scheduling.
-// These tests drive real batches through the pipeline under every
-// configuration the scheduler can reach — more threads than documents,
-// queue capacity 1 (permanent backpressure), duplicate URLs, malformed
-// members — and pin the outputs to the single-threaded run byte for
-// byte. Run them under ASan/UBSan (XYDIFF_SANITIZE) and TSan
-// (XYDIFF_TSAN, tools/run_tsan_tests.sh) to make the scheduling space
-// itself part of the test.
+// These tests drive real batches through it under every configuration
+// the scheduler can reach — more threads than documents, duplicate URLs,
+// malformed members — and pin the outputs to the single-threaded run,
+// or to Ingest() over freshly parsed documents, byte for byte. Run them
+// under ASan/UBSan (XYDIFF_SANITIZE) and TSan (XYDIFF_TSAN,
+// tools/run_tsan_tests.sh) to make the scheduling space itself part of
+// the test.
 
 #include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "delta/delta_xml.h"
 #include "gtest/gtest.h"
 #include "simulator/change_simulator.h"
 #include "simulator/doc_generator.h"
 #include "tests/test_util.h"
 #include "util/random.h"
+#include "version/repository.h"
 #include "version/warehouse.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -115,6 +117,47 @@ std::map<std::string, DocumentOutcome> RunPipeline(
   return Observe(warehouse, week2_reports);
 }
 
+/// The reference outcome: both weeks through Ingest() over documents
+/// parsed fresh (no arena pool, monitors maintained inline). Ingest does
+/// not report delta_bytes, so that field comes from the serialization of
+/// a bare VersionRepository's delta for the same pair.
+std::map<std::string, DocumentOutcome> RunIngest(const Corpus& corpus) {
+  Warehouse warehouse;
+  XY_EXPECT_OK(warehouse.Subscribe("items", "//item"));
+  for (const Warehouse::DiffJob& job : corpus.week1) {
+    Result<XmlDocument> doc = ParseXml(job.xml);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    if (doc.ok()) {
+      EXPECT_TRUE(warehouse.Ingest(job.url, std::move(*doc)).ok());
+    }
+  }
+  std::vector<Result<Warehouse::IngestReport>> reports;
+  for (const Warehouse::DiffJob& job : corpus.week2) {
+    Result<XmlDocument> doc = ParseXml(job.xml);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    if (doc.ok()) reports.push_back(warehouse.Ingest(job.url, std::move(*doc)));
+  }
+  std::map<std::string, DocumentOutcome> outcomes =
+      Observe(warehouse, reports);
+  for (size_t i = 0; i < corpus.week1.size(); ++i) {
+    Result<XmlDocument> v1 = ParseXml(corpus.week1[i].xml);
+    Result<XmlDocument> v2 = ParseXml(corpus.week2[i].xml);
+    EXPECT_TRUE(v1.ok() && v2.ok());
+    if (!v1.ok() || !v2.ok()) continue;
+    VersionRepository repo(std::move(*v1));
+    Result<int> version = repo.Commit(std::move(*v2));
+    EXPECT_TRUE(version.ok()) << version.status().ToString();
+    if (!version.ok()) continue;
+    Result<const Delta*> delta = repo.DeltaFor(*version - 1);
+    EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+    if (delta.ok()) {
+      outcomes[corpus.week1[i].url].delta_bytes =
+          SerializeDelta(**delta).size();
+    }
+  }
+  return outcomes;
+}
+
 // The headline scenario from the issue: 8 threads, 200 documents.
 // Scheduling freedom is maximal (on a multicore box workers genuinely
 // race; under TSan every access is checked), yet the outcome must be
@@ -155,11 +198,9 @@ TEST(ParallelPipelineTest, EightThreadsTwoHundredDocsMatchSingleThread) {
   EXPECT_GT(stats.wall_seconds, 0.0);
 }
 
-// Determinism across the whole tuning space: thread counts that divide,
-// exceed, and oversubscribe the batch, with the queue bound cranked down
-// to 1 so backpressure (the help-downstream path) is exercised on every
-// hand-off.
-TEST(ParallelPipelineTest, OutcomeIndependentOfThreadsAndQueueCapacity) {
+// Determinism across thread counts that divide, exceed, and
+// oversubscribe the batch.
+TEST(ParallelPipelineTest, OutcomeIndependentOfThreadCount) {
   Corpus corpus = MakeCorpus(48, 4242);
   Warehouse::PipelineOptions reference;
   reference.threads = 1;
@@ -167,15 +208,11 @@ TEST(ParallelPipelineTest, OutcomeIndependentOfThreadsAndQueueCapacity) {
       RunPipeline(corpus, reference);
 
   for (int threads : {2, 3, 8, 64}) {
-    for (size_t capacity : {size_t{1}, size_t{2}, size_t{32}}) {
-      Warehouse::PipelineOptions pipeline;
-      pipeline.threads = threads;
-      pipeline.queue_capacity = capacity;
-      std::map<std::string, DocumentOutcome> actual =
-          RunPipeline(corpus, pipeline);
-      EXPECT_TRUE(actual == expected)
-          << "threads=" << threads << " queue_capacity=" << capacity;
-    }
+    Warehouse::PipelineOptions pipeline;
+    pipeline.threads = threads;
+    std::map<std::string, DocumentOutcome> actual =
+        RunPipeline(corpus, pipeline);
+    EXPECT_TRUE(actual == expected) << "threads=" << threads;
   }
 }
 
@@ -237,7 +274,6 @@ TEST(ParallelPipelineTest, ReportsComeBackInInputOrder) {
   Warehouse warehouse;
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 8;
-  pipeline.queue_capacity = 1;
   auto reports = warehouse.DiffBatch(corpus.week1, pipeline);
   ASSERT_EQ(reports.size(), corpus.week1.size());
   for (size_t i = 0; i < reports.size(); ++i) {
@@ -319,24 +355,20 @@ TEST(ParallelPipelineTest, AlertsFireThroughThePipeline) {
   }
 }
 
-// Arena recycling is an allocator change, never a semantic one: pooled
-// and per-slot arenas must yield byte-identical stored versions — XIDs
-// included — and identical deltas. Run under the ASan preset, this is
-// also the aliasing check: a recycled arena that still carried another
-// slot's live bytes would trip use-after-poison immediately.
+// Arena recycling is an allocator change, never a semantic one: DiffBatch
+// slots parsed into pooled arenas must yield byte-identical stored
+// versions — XIDs included — and identical deltas to Ingest() over
+// freshly parsed documents. Run under the ASan preset, this is also the
+// aliasing check: a recycled arena that still carried another slot's
+// live bytes would trip use-after-poison immediately.
 TEST(ParallelPipelineTest, PooledArenasMatchFreshArenasByteForByte) {
   Corpus corpus = MakeCorpus(60, 4600);
 
-  Warehouse::PipelineOptions fresh;
-  fresh.threads = 4;
-  fresh.reuse_arenas = false;
-  std::map<std::string, DocumentOutcome> expected =
-      RunPipeline(corpus, fresh);
+  std::map<std::string, DocumentOutcome> expected = RunIngest(corpus);
   ASSERT_EQ(expected.size(), 60u);
 
   Warehouse::PipelineOptions pooled;
   pooled.threads = 4;
-  pooled.reuse_arenas = true;
   std::map<std::string, DocumentOutcome> actual =
       RunPipeline(corpus, pooled);
 
@@ -344,33 +376,34 @@ TEST(ParallelPipelineTest, PooledArenasMatchFreshArenasByteForByte) {
       << "arena recycling changed an observable outcome";
 }
 
-// Deferring monitor maintenance must change WHEN the index is built,
-// never what it answers: a Search after a deferred batch (lazy rebuild)
-// must equal a Search after an inline-maintained batch, and the stored
-// versions must be untouched by the policy.
+// DiffBatch defers index maintenance to the next Search; that must change
+// WHEN the index is built, never what it answers: a Search after a
+// DiffBatch (lazy rebuild) must equal a Search after Ingest() of freshly
+// parsed documents (index maintained inline).
 TEST(ParallelPipelineTest, DeferredMonitorsAnswerSearchesIdentically) {
   Corpus corpus = MakeCorpus(30, 3000);
 
-  const auto run = [&](bool defer) {
-    auto warehouse = std::make_unique<Warehouse>();
-    Warehouse::PipelineOptions pipeline;
-    pipeline.threads = 2;
-    pipeline.defer_monitor_updates = defer;
-    for (const auto& r : warehouse->DiffBatch(corpus.week1, pipeline)) {
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
+  Warehouse inline_wh;
+  for (const auto* week : {&corpus.week1, &corpus.week2}) {
+    for (const auto& job : *week) {
+      Result<XmlDocument> doc = ParseXml(job.xml);
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      auto report = inline_wh.Ingest(job.url, std::move(*doc));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
     }
-    for (const auto& r : warehouse->DiffBatch(corpus.week2, pipeline)) {
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+  Warehouse deferred_wh;
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  for (const auto* week : {&corpus.week1, &corpus.week2}) {
+    for (const auto& r : deferred_wh.DiffBatch(*week, pipeline)) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
     }
-    return warehouse;
-  };
-
-  const auto inline_wh = run(false);
-  const auto deferred_wh = run(true);
+  }
   // Probe with words that appear in generated documents plus one miss.
   for (const char* word : {"the", "item", "price", "zzz-not-a-word"}) {
-    auto expected = inline_wh->Search(word);
-    auto actual = deferred_wh->Search(word);
+    auto expected = inline_wh.Search(word);
+    auto actual = deferred_wh.Search(word);
     EXPECT_EQ(expected, actual) << "Search(\"" << word << "\") diverged";
   }
   // A later inline ingest over a stale index must rebuild, not corrupt:
@@ -379,13 +412,13 @@ TEST(ParallelPipelineTest, DeferredMonitorsAnswerSearchesIdentically) {
   for (const auto& job : corpus.week2) {
     Result<XmlDocument> doc = ParseXml(job.xml);
     ASSERT_TRUE(doc.ok());
-    auto report = deferred_wh->Ingest(job.url, std::move(*doc));
+    auto report = deferred_wh.Ingest(job.url, std::move(*doc));
     ASSERT_TRUE(report.ok()) << report.status().ToString();
   }
   for (const char* word : {"the", "item", "price"}) {
     // An identical re-ingest is a no-op delta: the rebuilt-then-applied
     // index must still answer exactly like the always-inline warehouse.
-    EXPECT_EQ(deferred_wh->Search(word), inline_wh->Search(word)) << word;
+    EXPECT_EQ(deferred_wh.Search(word), inline_wh.Search(word)) << word;
   }
 }
 

@@ -149,8 +149,8 @@ TEST_P(RoundTripProperty, ArenaParsedDocumentsDiffAndPatchIdentically) {
 }
 
 // Same property a third time, now through the parallel warehouse
-// pipeline: the raw serialized versions go through DiffBatch (parse →
-// diff → store on the work-stealing pool), and the stored versions
+// pipeline: the raw serialized versions go through DiffBatch (each slot
+// parsed, diffed and stored on one ParallelFor worker), and the stored versions
 // checked out afterwards must equal the originals. Whatever the
 // scheduler does, apply(diff(v1,v2), v1) == v2 must survive the
 // production batch path too.
@@ -180,7 +180,6 @@ TEST_P(RoundTripProperty, DiffBatchPipelineStoresExactVersions) {
   Warehouse warehouse;
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 4;
-  pipeline.queue_capacity = 2;
   auto v1_reports = warehouse.DiffBatch({{"doc", old_xml}}, pipeline);
   ASSERT_EQ(v1_reports.size(), 1u);
   ASSERT_TRUE(v1_reports[0].ok()) << v1_reports[0].status().ToString();

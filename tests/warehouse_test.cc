@@ -248,9 +248,10 @@ TEST(WarehouseTest, LoadSkipsTruncatedDocument) {
 // Regression for the group-commit flush path: FindDocument acquires a
 // shard mutex, so it must run BEFORE the flusher starts taking the
 // group's document locks (shard -> document is the order everywhere
-// else). With slots smaller than the batch, several groups flush —
-// each resolving and locking multiple documents — and every repository
-// must land on disk loadable and current.
+// else). Twenty documents make two full groups of eight plus a tail of
+// four, flushed once after the workers return — each group resolving
+// and locking multiple documents — and every repository must land on
+// disk loadable and current.
 TEST(WarehouseTest, GroupCommitPersistsEveryDocument) {
   const fs::path dir = fs::temp_directory_path() /
                        ("xydiff_group_commit_test_" +
@@ -258,7 +259,7 @@ TEST(WarehouseTest, GroupCommitPersistsEveryDocument) {
   fs::remove_all(dir);
 
   Warehouse warehouse;
-  constexpr int kDocs = 6;
+  constexpr int kDocs = 20;
   for (int i = 0; i < kDocs; ++i) {
     const std::string url = "doc" + std::to_string(i);
     ASSERT_TRUE(
@@ -268,7 +269,6 @@ TEST(WarehouseTest, GroupCommitPersistsEveryDocument) {
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 4;
   pipeline.save_directory = dir.string();
-  pipeline.group_commit_slots = 2;  // kDocs/2 separate group flushes.
 
   std::vector<Warehouse::DiffJob> jobs;
   for (int i = 0; i < kDocs; ++i) {

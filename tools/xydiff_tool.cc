@@ -11,7 +11,7 @@
 //   xydiff_tool stats DELTA.xml
 //   xydiff_tool validate DELTA.xml
 //   xydiff_tool batch MANIFEST.tsv [-o WAREHOUSE_DIR] [--threads N]
-//               [--queue N] [--stats] [--deadline-ms MS]
+//               [--stats] [--fail-fast] [--deadline-ms MS]
 //               [--max-batch-bytes BYTES]
 //   xydiff_tool checkout WAREHOUSE_DIR URL [--version N] [-o OUT] [--stats]
 //
@@ -43,7 +43,7 @@
 #include "util/env.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "version/storage.h"
 #include "version/warehouse.h"
 #include "xml/parser.h"
@@ -67,7 +67,7 @@ class Args {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "-o" || arg == "--meta" || arg == "--write-meta" ||
-          arg == "--window" || arg == "--threads" || arg == "--queue" ||
+          arg == "--window" || arg == "--threads" ||
           arg == "--version" || arg == "--deadline-ms" ||
           arg == "--max-batch-bytes") {
         if (i + 1 >= argc) {
@@ -312,7 +312,8 @@ int CmdExplain(const Args& args) {
 }
 
 /// The parallel warehouse driver: diffs many old/new file pairs through
-/// the staged parse → diff → store pipeline (see Warehouse::DiffBatch).
+/// Warehouse::DiffBatch, each pair parsed, diffed and stored start to
+/// finish on one of `--threads` workers.
 /// The manifest has one `OLD.xml<TAB>NEW.xml[<TAB>URL]` line per
 /// document; URL defaults to the old path. With -o the warehouse (delta
 /// chains and all) is persisted for later querying.
@@ -320,7 +321,7 @@ int CmdBatch(const Args& args) {
   if (args.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: xydiff_tool batch MANIFEST.tsv [-o WAREHOUSE_DIR]"
-                 " [--threads N] [--queue N] [--stats] [--fail-fast]\n"
+                 " [--threads N] [--stats] [--fail-fast]\n"
                  "       [--deadline-ms MS] [--max-batch-bytes BYTES]\n"
                  "manifest line: OLD.xml<TAB>NEW.xml[<TAB>URL]\n"
                  "exit codes: 0 ok, 1 slot failed, 2 usage, 3 deadline,\n"
@@ -358,16 +359,11 @@ int CmdBatch(const Args& args) {
   }
 
   Warehouse::PipelineOptions pipeline;
-  pipeline.threads = ThreadPool::DefaultThreadCount();
+  pipeline.threads = DefaultThreadCount();
   if (auto threads = args.Get("--threads")) {
     Result<long> parsed = ParsePositive("--threads", *threads);
     if (!parsed.ok()) return Fail(parsed.status());
     pipeline.threads = static_cast<int>(std::min<long>(*parsed, 1024));
-  }
-  if (auto queue = args.Get("--queue")) {
-    Result<long> parsed = ParsePositive("--queue", *queue);
-    if (!parsed.ok()) return Fail(parsed.status());
-    pipeline.queue_capacity = static_cast<size_t>(*parsed);
   }
   pipeline.fail_fast = args.Has("--fail-fast");
   // The deadline context must outlive both DiffBatch calls below; it

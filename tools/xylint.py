@@ -12,9 +12,10 @@ Enforces repository invariants the compiler cannot (see DESIGN.md §3.11):
   umbrella-include    src/xydiff.h (the public surface) only re-exports
                       headers that exist, each marked `IWYU pragma: export`,
                       in sorted order.
-  naked-thread        No `std::thread` outside util/thread_pool.* — all
-                      parallelism goes through ThreadPool so Wait()/join
-                      discipline and the capability annotations apply.
+  naked-thread        No `std::thread` outside util/parallel_for.* — all
+                      parallelism goes through ParallelFor, whose
+                      fork-join shape joins every worker before it
+                      returns.
   void-discard        A `(void)` cast (usually a deliberately dropped
                       [[nodiscard]] Status) needs a justification comment
                       on the same or one of the two preceding lines.
@@ -212,7 +213,7 @@ def lint_file(path, rel, src_root, findings):
     in_src = rel.startswith("src/")
     in_tools = rel.startswith("tools/")
     is_arena = rel in ("src/util/arena.h", "src/util/arena.cc")
-    is_pool = rel in ("src/util/thread_pool.h", "src/util/thread_pool.cc")
+    is_pool = rel in ("src/util/parallel_for.h", "src/util/parallel_for.cc")
     is_env = rel == "src/util/env.cc"
     is_retry = rel in ("src/util/retry.h", "src/util/retry.cc")
     in_fuzz = rel.startswith("src/fuzz/")
@@ -267,8 +268,8 @@ def lint_file(path, rel, src_root, findings):
                 if not allowed(raw_lines, lineno, "naked-thread"):
                     findings.append(Finding(
                         rel, lineno, "naked-thread",
-                        "std::thread outside util/thread_pool — submit to "
-                        "ThreadPool instead"))
+                        "std::thread outside util/parallel_for — use "
+                        "ParallelFor instead"))
 
         # raw-io: product code reads and writes only through the Env.
         if (in_src or in_tools) and not is_env:

@@ -397,7 +397,7 @@ class LockAnalysis:
         if cs.receiver_type:
             # A receiver-typed call resolves through the receiver's class
             # or not at all: falling back to name matching would bind
-            # e.g. `cv_.Wait(mu)` to an unrelated `ThreadPool::Wait`.
+            # e.g. `cv_.Wait(mu)` to an unrelated `Barrier::Wait`.
             segs = self.split_postfix([t.text for t in cs.receiver_type])
             key = self.receiver_class(fn, segs)
             if not key:
