@@ -18,6 +18,13 @@ constexpr size_t kMaxSnapshotDepth = 10000;
 constexpr uint8_t kNodeElement = 0;
 constexpr uint8_t kNodeText = 1;
 
+/// True when `bytes` starts with the binary-delta magic.
+bool LooksLikeBinaryDelta(std::string_view bytes) {
+  return bytes.size() >= sizeof(kMagic) &&
+         bytes.compare(0, sizeof(kMagic),
+                       std::string_view(kMagic, sizeof(kMagic))) == 0;
+}
+
 void AppendVarint(std::string* out, uint64_t value) {
   while (value >= 0x80) {
     out->push_back(static_cast<char>((value & 0x7f) | 0x80));
@@ -327,11 +334,6 @@ std::string EncodeDeltaBinary(const Delta& delta) {
   return out;
 }
 
-bool LooksLikeBinaryDelta(std::string_view bytes) {
-  return bytes.size() >= sizeof(kMagic) &&
-         bytes.compare(0, sizeof(kMagic),
-                       std::string_view(kMagic, sizeof(kMagic))) == 0;
-}
 
 Result<Delta> DecodeDeltaBinary(std::string_view bytes,
                                 const Context* context) {

@@ -50,11 +50,6 @@ std::string EncodeDeltaBinary(const Delta& delta);
 Result<Delta> DecodeDeltaBinary(std::string_view bytes,
                                 const Context* context = nullptr);
 
-/// True when `bytes` starts with the binary-delta magic. Distinguishes
-/// codec files from legacy XML deltas (which start with '<') when the
-/// store loads a mixed-format chain.
-bool LooksLikeBinaryDelta(std::string_view bytes);
-
 }  // namespace xydiff
 
 #endif  // XYDIFF_DELTA_CODEC_H_

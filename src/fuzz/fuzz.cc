@@ -121,7 +121,8 @@ std::string FuzzSummary::ToString() const {
 }
 
 OracleReport ReproduceTrial(std::string_view profile_name, uint64_t seed,
-                            size_t size, const OracleOptions& oracles) {
+                            size_t size, const OracleOptions& oracles,
+                            const std::string& scratch_directory) {
   const FuzzProfile* profile = FindFuzzProfile(profile_name);
   if (profile == nullptr) {
     OracleReport report;
@@ -129,7 +130,8 @@ OracleReport ReproduceTrial(std::string_view profile_name, uint64_t seed,
         {"config", "unknown profile '" + std::string(profile_name) + "'"});
     return report;
   }
-  return CheckTrialOracles(GenerateTrial(*profile, seed, size), oracles);
+  return CheckTrialOracles(GenerateTrial(*profile, seed, size), oracles,
+                           scratch_directory);
 }
 
 Status RunCrashBatchSaveTrial(uint64_t seed, const std::string& directory,
@@ -384,7 +386,13 @@ FuzzSummary RunFuzz(const FuzzOptions& options) {
       } else {
         ++summary.rejected;
       }
-      OracleReport report = CheckTrialOracles(trial, options.oracles);
+      const std::string trial_scratch =
+          options.scratch_directory.empty()
+              ? std::string()
+              : options.scratch_directory + "/config-" + profile->name +
+                    "-" + std::to_string(seed);
+      OracleReport report =
+          CheckTrialOracles(trial, options.oracles, trial_scratch);
       summary.oracle_checks += report.checks;
       if (report.ok()) continue;
 
@@ -405,7 +413,8 @@ FuzzSummary RunFuzz(const FuzzOptions& options) {
         spec = MinimizeFailure(spec, [&](const ShrinkSpec& candidate) {
           FuzzTrial retry =
               GenerateTrial(*profile, seed, candidate.size, candidate.sim);
-          OracleReport judged = CheckTrialOracles(retry, options.oracles);
+          OracleReport judged =
+              CheckTrialOracles(retry, options.oracles, trial_scratch);
           return !judged.ok() &&
                  judged.failures.front().oracle == first_oracle;
         });

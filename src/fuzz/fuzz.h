@@ -30,9 +30,10 @@ struct FuzzOptions {
   bool crash_interleaving = true;
   /// Trials per crash mode (batched save, DiffBatch pipeline).
   size_t crash_trials = 12;
-  /// Parent directory for crash-trial stores. Each trial writes under
-  /// its own `<mode>-<seed>` subdirectory; the caller owns cleanup (Env
-  /// has no recursive remove by design).
+  /// Parent directory for crash-trial and configuration-oracle stores.
+  /// Each trial writes under its own `<mode>-<seed>` (or
+  /// `config-<profile>-<seed>`) subdirectory; the caller owns cleanup
+  /// (Env has no recursive remove by design).
   std::string scratch_directory;
 
   /// When non-empty, every failing trial's input bytes and repro line
@@ -90,7 +91,8 @@ FuzzSummary RunFuzz(const FuzzOptions& options = {});
 /// Replays one trial from its repro triple and re-judges it with the
 /// oracles — the other half of the determinism contract.
 OracleReport ReproduceTrial(std::string_view profile_name, uint64_t seed,
-                            size_t size, const OracleOptions& oracles = {});
+                            size_t size, const OracleOptions& oracles = {},
+                            const std::string& scratch_directory = {});
 
 /// One crash-interleaving trial against SaveRepositoryBatch: builds a
 /// 3-slot corpus from `seed`, commits the pre state durably, then runs

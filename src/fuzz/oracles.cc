@@ -1,6 +1,7 @@
 #include "fuzz/oracles.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -404,12 +405,15 @@ void CheckoutOracle(const XmlDocument& v1, const XmlDocument& v2,
 ///  (a) a bare VersionRepository and Commit — the reference;
 ///  (b) Warehouse::Ingest;
 ///  (c) Warehouse::DiffBatch at 1 thread;
-///  (d) DiffBatch at 4 threads, the chain under 4 URLs in each batch.
+///  (d) DiffBatch at 4 threads, the chain under 4 URLs in each batch;
+///  (e) the (d) warehouse after Warehouse::Save into `scratch_directory`
+///      and Warehouse::Load back (skipped when no directory is given).
 /// Every path must check out byte-identical versions with XIDs and
 /// report the reference's operation count per step; DiffBatch's
 /// delta_bytes must be the size of the reference delta's serialization.
 void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
-                         const XmlDocument& v3, Judge* judge) {
+                         const XmlDocument& v3,
+                         const std::string& scratch_directory, Judge* judge) {
   judge->Ran();
   constexpr int kVersions = 3;
   const std::string texts[kVersions] = {Canonical(v1), Canonical(v2),
@@ -486,14 +490,32 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
         }
       }
     }
-    for (int u = 0; u < urls; ++u) {
-      const std::string url = "doc" + std::to_string(u);
-      for (int version = 1; version <= kVersions; ++version) {
-        Result<XmlDocument> doc = warehouse.Checkout(url, version);
-        if (!doc.ok() ||
-            CanonicalWithXids(*doc) != ref_versions[version - 1]) {
-          return fail(path, "disagrees with the reference on version " +
-                                std::to_string(version) + " of " + url);
+    // (e) The 4-thread warehouse again, after a round trip through its
+    // store.
+    std::unique_ptr<Warehouse> reloaded;
+    if (threads == 4 && !scratch_directory.empty()) {
+      if (Status saved = warehouse.Save(scratch_directory); !saved.ok()) {
+        return fail("Save+Load", saved.ToString());
+      }
+      std::vector<std::string> skipped;
+      Result<std::unique_ptr<Warehouse>> loaded =
+          Warehouse::Load(scratch_directory, DiffOptions{}, &skipped);
+      if (!loaded.ok()) return fail("Save+Load", loaded.status().ToString());
+      if (!skipped.empty()) return fail("Save+Load", skipped.front());
+      reloaded = std::move(*loaded);
+    }
+    for (const Warehouse* stored : {&warehouse, reloaded.get()}) {
+      if (stored == nullptr) continue;
+      for (int u = 0; u < urls; ++u) {
+        const std::string url = "doc" + std::to_string(u);
+        for (int version = 1; version <= kVersions; ++version) {
+          Result<XmlDocument> doc = stored->Checkout(url, version);
+          if (!doc.ok() ||
+              CanonicalWithXids(*doc) != ref_versions[version - 1]) {
+            return fail(stored == &warehouse ? path : "Save+Load",
+                        "disagrees with the reference on version " +
+                            std::to_string(version) + " of " + url);
+          }
         }
       }
     }
@@ -537,7 +559,8 @@ OracleReport CheckPairOracles(const XmlDocument& base,
 }
 
 OracleReport CheckTrialOracles(const FuzzTrial& trial,
-                               const OracleOptions& options) {
+                               const OracleOptions& options,
+                               const std::string& scratch_directory) {
   if (!trial.v1.has_value()) {
     // A rejected raw input. Reaching this point already proves the parser
     // neither crashed nor hung; the remaining contract is a clean,
@@ -559,7 +582,8 @@ OracleReport CheckTrialOracles(const FuzzTrial& trial,
     if (options.check_checkout) {
       CheckoutOracle(*trial.v1, *trial.v2, *trial.v3, &judge);
     }
-    ConfigurationOracle(*trial.v1, *trial.v2, *trial.v3, &judge);
+    ConfigurationOracle(*trial.v1, *trial.v2, *trial.v3, scratch_directory,
+                        &judge);
   }
   OracleReport chain = judge.Take();
   report.checks += chain.checks;

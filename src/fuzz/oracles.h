@@ -53,8 +53,11 @@ struct OracleReport {
 ///    chain stored through VersionRepository::Commit, Warehouse::Ingest
 ///    and DiffBatch at 1 and 4 threads must agree on every version's
 ///    XIDs and bytes, on each step's operation count and delta size.
+///    With a `scratch_directory` (private to this trial), the 4-thread
+///    warehouse must also agree after Warehouse::Save there and Load.
 OracleReport CheckTrialOracles(const FuzzTrial& trial,
-                               const OracleOptions& options = {});
+                               const OracleOptions& options = {},
+                               const std::string& scratch_directory = {});
 
 /// The pair-level core, shared with `differential_test`: runs the
 /// differential, distance, roundtrip, invert and codec oracles over one

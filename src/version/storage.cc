@@ -10,7 +10,6 @@
 
 #include "delta/apply.h"
 #include "delta/codec.h"
-#include "delta/delta_xml.h"
 #include "util/hash.h"
 #include "util/sharded_mutex.h"
 #include "util/string_util.h"
@@ -28,12 +27,6 @@ constexpr char kManifestMagic[] = "xydiff-manifest 2";
 constexpr char kQuarantineDir[] = "quarantine";
 constexpr char kBatchJournalName[] = "BATCH-COMMIT";
 constexpr char kBatchMagic[] = "xydiff-batch 1";
-
-std::string DeltaName(size_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "delta.%06zu.xml", index + 1);
-  return name;
-}
 
 std::string DeltaBinName(size_t index) {
   char name[32];
@@ -333,8 +326,7 @@ Result<std::string> ReadVerified(const std::string& directory,
 /// Post-commit removal of files the new MANIFEST does not reference:
 /// stale deltas, superseded current epochs, leftover temp files. Best
 /// effort — the loader never looks at unreferenced files, so a failed
-/// removal costs bytes, not correctness (unlike the pre-MANIFEST
-/// scan-based loader, where a stale delta silently became history).
+/// removal costs bytes, not correctness.
 void CleanupUnreferenced(const std::string& directory,
                          const Manifest& manifest, Env* env) {
   Result<std::vector<std::string>> names = env->ListDir(directory);
@@ -378,49 +370,28 @@ size_t VerifyChainApplies(const XmlDocument& current,
   return 0;
 }
 
-/// Quarantines whichever on-disk forms of chain delta `index` exist
-/// (binary and/or legacy XML — a half-upgraded store may hold both).
+/// Quarantines chain delta `index` if its file is still on disk.
 void QuarantineDelta(const std::string& directory, size_t index, Env* env,
                      RecoveryReport* report) {
-  for (const std::string& name : {DeltaBinName(index), DeltaName(index)}) {
-    if (env->FileExists(directory + "/" + name)) {
-      QuarantineFile(directory, name, env, report);
-    }
+  const std::string name = DeltaBinName(index);
+  if (env->FileExists(directory + "/" + name)) {
+    QuarantineFile(directory, name, env, report);
   }
 }
 
-/// Pre-MANIFEST layout (`current.xml` + scanned chain), kept loadable:
-/// strict, no checksums — the report flags the store as unverified.
-Result<VersionRepository> LoadLegacyRepository(const std::string& directory,
-                                               Env* env,
-                                               RecoveryReport* report) {
-  report->manifest_valid = false;
-  report->clean = false;
-  report->notes.push_back("legacy layout (no MANIFEST): loaded unverified");
-  Result<std::string> xml = env->ReadFile(directory + "/current.xml");
-  if (!xml.ok()) return xml.status();
-  Result<std::string> meta = env->ReadFile(directory + "/current.meta");
-  if (!meta.ok()) return meta.status();
-  Result<XmlDocument> current =
-      ParseDocumentPair(*xml, *meta, directory + "/current.meta");
-  if (!current.ok()) return current.status();
-
-  std::vector<Delta> deltas;
-  for (size_t i = 0;; ++i) {
-    const std::string path = directory + "/" + DeltaName(i);
-    if (!env->FileExists(path)) break;
-    Result<std::string> text = env->ReadFile(path);
-    if (!text.ok()) return text.status();
-    Result<Delta> delta = ParseDelta(*text);
-    if (!delta.ok()) {
-      return Status::Corruption("bad delta " + path + ": " +
-                                delta.status().message());
-    }
-    deltas.push_back(std::move(*delta));
-  }
-  report->recovered_version_count = static_cast<int>(deltas.size()) + 1;
-  return VersionRepository::FromParts(std::move(current.value()),
-                                      std::move(deltas));
+/// The one manifest-install step, run by SaveRepository and by the batch
+/// roll-forward alike: the MANIFEST rename is the commit point, the
+/// directory fsync makes it durable, and the files the new manifest no
+/// longer references are then removed (best effort). Caller holds the
+/// directory's lock.
+Status InstallManifest(const std::string& directory,
+                       const std::string& manifest_text,
+                       const Manifest& manifest, Env* env) {
+  XYDIFF_RETURN_IF_ERROR(
+      env->WriteFileAtomic(directory + "/" + kManifestName, manifest_text));
+  XYDIFF_RETURN_IF_ERROR(env->SyncDir(directory));
+  CleanupUnreferenced(directory, manifest, env);
+  return Status::OK();
 }
 
 /// Loads the current document for `epoch` without manifest checksums
@@ -543,10 +514,7 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
 
   // Delta chain, in the compact binary codec (delta/codec.h). A delta
   // whose recorded digest the old manifest already lists is kept without
-  // being encoded again. A legacy store whose manifest lists delta.*.xml
-  // entries finds no matching .bin entry, so the whole chain is
-  // rewritten in binary here and the XML files become unreferenced —
-  // upgraded on the next save.
+  // being encoded again.
   for (size_t i = 0; i < repo.deltas().size(); ++i) {
     std::string name = DeltaBinName(i);
     if (const std::optional<EncodedDigest>& digest = repo.delta_digest(i);
@@ -606,15 +574,7 @@ Status SaveRepository(VersionRepository& repo, const std::string& directory,
   env = Resolve(env);
   Result<Manifest> next = WriteRepositoryData(repo, directory, env);
   if (!next.ok()) return next.status();
-
-  // The commit point: the MANIFEST rename atomically switches the live
-  // state; the directory fsync makes the whole batch durable.
-  XYDIFF_RETURN_IF_ERROR(env->WriteFileAtomic(
-      directory + "/" + kManifestName, FormatManifest(*next)));
-  XYDIFF_RETURN_IF_ERROR(env->SyncDir(directory));
-
-  CleanupUnreferenced(directory, *next, env);
-  return Status::OK();
+  return InstallManifest(directory, FormatManifest(*next), *next, env);
 }
 
 namespace {
@@ -722,10 +682,8 @@ Result<std::vector<BatchSlotEntry>> ParseBatchJournal(std::string_view text) {
 /// it are skipped (a crash can interrupt a previous roll-forward half
 /// way). A journal that fails verification was never the commit point —
 /// it is removed and every slot stays pre-batch.
-Status ApplyBatchJournalLocked(const std::string& parent, Env* env,
-                               std::vector<std::string>* notes) {
-  const std::string journal_path = std::string(parent) + "/" +
-                                   kBatchJournalName;
+Status ApplyBatchJournalLocked(const std::string& parent, Env* env) {
+  const std::string journal_path = parent + "/" + kBatchJournalName;
   Result<std::string> text = env->ReadFile(journal_path);
   if (!text.ok()) {
     if (text.status().code() == StatusCode::kNotFound) {
@@ -735,10 +693,6 @@ Status ApplyBatchJournalLocked(const std::string& parent, Env* env,
   }
   Result<std::vector<BatchSlotEntry>> entries = ParseBatchJournal(*text);
   if (!entries.ok()) {
-    if (notes != nullptr) {
-      notes->push_back("discarding uncommitted batch journal: " +
-                       entries.status().ToString());
-    }
     // Justified discard: a torn journal is inert either way — if it
     // cannot be removed now, the next recovery discards it again.
     (void)env->RemoveFile(journal_path);
@@ -755,13 +709,7 @@ Status ApplyBatchJournalLocked(const std::string& parent, Env* env,
     }
     XYDIFF_RETURN_IF_ERROR(env->CreateDirs(dir));
     XYDIFF_RETURN_IF_ERROR(
-        env->WriteFileAtomic(dir + "/" + kManifestName, entry.manifest_text));
-    XYDIFF_RETURN_IF_ERROR(env->SyncDir(dir));
-    CleanupUnreferenced(dir, entry.manifest, env);
-    if (notes != nullptr) {
-      notes->push_back("rolled " + entry.subdirectory + " forward to epoch " +
-                       std::to_string(entry.manifest.epoch));
-    }
+        InstallManifest(dir, entry.manifest_text, entry.manifest, env));
   }
   XYDIFF_RETURN_IF_ERROR(env->RemoveFile(journal_path));
   return env->SyncDir(parent);
@@ -797,7 +745,7 @@ Status SaveRepositoryBatch(const std::vector<RepositorySaveSlot>& slots,
   // An interrupted predecessor rolls forward first: its journal is
   // committed truth and must not be overwritten with ours while slots
   // still point at the state before it.
-  XYDIFF_RETURN_IF_ERROR(ApplyBatchJournalLocked(parent, env, nullptr));
+  XYDIFF_RETURN_IF_ERROR(ApplyBatchJournalLocked(parent, env));
 
   // Phase 1: every slot's data files, made durable NOW. The journal
   // below carries manifests only — recovery has no repositories in
@@ -829,14 +777,13 @@ Status SaveRepositoryBatch(const std::vector<RepositorySaveSlot>& slots,
 
   // Phase 3: roll forward — deliberately the same code path recovery
   // runs, so every successful save also proves the recovery path.
-  return ApplyBatchJournalLocked(parent, env, nullptr);
+  return ApplyBatchJournalLocked(parent, env);
 }
 
-Status RecoverRepositoryBatch(const std::string& parent, Env* env,
-                              std::vector<std::string>* notes) {
+Status RecoverRepositoryBatch(const std::string& parent, Env* env) {
   env = Resolve(env);
   MutexLock batch_lock(BatchLocks().For(parent));
-  return ApplyBatchJournalLocked(parent, env, notes);
+  return ApplyBatchJournalLocked(parent, env);
 }
 
 Result<VersionRepository> LoadRepository(const std::string& directory,
@@ -874,9 +821,6 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
         --best_epoch;
       }
       if (best_epoch == 0) {
-        if (env->FileExists(directory + "/current.xml")) {
-          return LoadLegacyRepository(directory, env, report);
-        }
         return Status::Corruption(
             "MANIFEST corrupt and no loadable current version in " +
             directory);
@@ -886,14 +830,10 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
       Manifest salvaged;
       salvaged.epoch = best_epoch;
       salvaged.chain = 0;
-      while (env->FileExists(directory + "/" +
-                             DeltaBinName(salvaged.chain)) ||
-             env->FileExists(directory + "/" + DeltaName(salvaged.chain))) {
+      while (env->FileExists(directory + "/" + DeltaBinName(salvaged.chain))) {
         ++salvaged.chain;
       }
       manifest = std::move(salvaged);
-    } else if (env->FileExists(directory + "/current.xml")) {
-      return LoadLegacyRepository(directory, env, report);
     } else {
       return Status::NotFound("no repository in " + directory);
     }
@@ -964,45 +904,32 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   }
 
   // --- delta chain ------------------------------------------------------
-  // Each position is read in whichever format the store holds: the
-  // binary codec (delta.<k>.bin, what saves write today) or legacy XML
-  // (delta.<k>.xml, pre-codec stores — loaded as-is and upgraded to
-  // binary by the next save). A salvaged manifest has no file entries,
-  // so the format is sniffed from the bytes instead.
+  // delta.<k>.bin files, verified against their MANIFEST entries (a
+  // salvaged manifest has none, so its chain is read unverified).
   //
-  // A chain read entirely from verified .bin entries hands their
-  // MANIFEST digests to the repository, so its next save need not encode
-  // them again (WriteRepositoryData) — unless recovery drops deltas
-  // below, which renumbers the chain.
+  // A chain read entirely from verified entries hands their MANIFEST
+  // digests to the repository, so its next save need not encode them
+  // again (WriteRepositoryData) — unless recovery drops deltas below,
+  // which renumbers the chain.
   std::vector<Delta> deltas;
   std::vector<EncodedDigest> digests;
   bool digests_known = true;
   size_t last_bad = 0;  // 1-based index of the newest unusable delta.
   for (size_t i = 0; i < chain; ++i) {
-    std::string name = DeltaBinName(i);
-    bool binary = true;
+    const std::string name = DeltaBinName(i);
     Result<std::string> text = Status::Corruption("unset");
     if (const ManifestFile* entry = listed.Find(name); entry != nullptr) {
       text = ReadVerified(directory, *entry, env);
       digests.push_back({entry->size, entry->crc});
-    } else if (const ManifestFile* xml_entry = listed.Find(DeltaName(i));
-               xml_entry != nullptr) {
-      name = DeltaName(i);
-      binary = false;
-      digests_known = false;
-      text = ReadVerified(directory, *xml_entry, env);
     } else {
       digests_known = false;
-      if (!env->FileExists(directory + "/" + name)) name = DeltaName(i);
       text = env->ReadFile(directory + "/" + name);
-      binary = text.ok() && LooksLikeBinaryDelta(*text);
     }
     if (!text.ok() && text.status().code() == StatusCode::kIOError) {
       return text.status();
     }
-    Result<Delta> delta = !text.ok() ? Result<Delta>(text.status())
-                          : binary  ? DecodeDeltaBinary(*text)
-                                    : ParseDelta(*text);
+    Result<Delta> delta =
+        text.ok() ? DecodeDeltaBinary(*text) : Result<Delta>(text.status());
     if (!delta.ok()) {
       report->clean = false;
       report->notes.push_back(name + ": " + delta.status().ToString());

@@ -26,11 +26,7 @@ namespace xydiff {
 ///                       the XID-map of the whole document ("(1-15;17)")
 ///   delta.000001.bin    delta chain in the compact binary codec
 ///   delta.000002.bin    (delta/codec.h); delta.00000k transforms
-///                       version k into version k+1. Legacy stores hold
-///                       delta.00000k.xml instead (the XML delta
-///                       serialization); the loader accepts either
-///                       format per position and the next save rewrites
-///                       the whole chain in binary.
+///                       version k into version k+1
 ///   checkpoint.000001.xml/.meta
 ///                       pinned version 1 (same pair format as current),
 ///                       the base of forward reconstruction
@@ -43,8 +39,9 @@ namespace xydiff {
 /// Write protocol (see DESIGN.md "Durability and recovery"): every file
 /// goes temp → fsync → rename; the epoch counter gives changed current
 /// files a fresh name; the MANIFEST rename is the single atomic commit
-/// point; one directory fsync makes the batch durable. A crash at any
-/// step leaves either the old or the new repository, never a hybrid.
+/// point; one directory fsync makes it durable. A crash at any step
+/// leaves either the old or the new repository, never a hybrid. A
+/// directory without a MANIFEST holds no repository.
 ///
 /// Checkpoint and skip files are *derived* state: they are loaded only
 /// from a fully verified, fully clean store, and on any damage (or any
@@ -78,7 +75,8 @@ struct RecoveryReport {
   std::string ToString() const;
 };
 
-/// Writes the repository into `directory` (created if absent). Atomic:
+/// Writes one standalone repository into `directory` (created if
+/// absent); Warehouse saves are group commits instead. Atomic:
 /// after a crash at any point, LoadRepository yields either the previous
 /// contents or this repository, bit-exactly. An error return means the
 /// previous contents are still live (the MANIFEST was not committed),
@@ -137,10 +135,8 @@ Status SaveRepositoryBatch(const std::vector<RepositorySaveSlot>& slots,
 /// a committed journal re-writes every not-yet-switched slot MANIFEST;
 /// a torn uncommitted journal is removed, leaving every slot pre-batch.
 /// Call before loading repositories out of a batch parent directory
-/// (Warehouse::Load does). No journal present is OK. `notes` (optional)
-/// receives a human-readable event log.
-Status RecoverRepositoryBatch(const std::string& parent, Env* env = nullptr,
-                              std::vector<std::string>* notes = nullptr);
+/// (Warehouse::Load does). No journal present is OK.
+Status RecoverRepositoryBatch(const std::string& parent, Env* env = nullptr);
 
 /// Loads a repository persisted by SaveRepository, verifying every file
 /// against the MANIFEST checksums and self-healing where possible:

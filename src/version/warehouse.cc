@@ -21,6 +21,35 @@ namespace xydiff {
 
 namespace {
 
+/// The store's document list: one `<subdirectory>\t<url>` line per
+/// document, written by Save.
+constexpr char kManifestName[] = "manifest.tsv";
+
+/// One document of a store: its repository directory and its URL.
+struct StoredDocument {
+  std::string path;
+  std::string url;
+};
+
+/// Opens a store written by Warehouse::Save for reading: rolls an
+/// interrupted group commit forward (or discards a torn one), then reads
+/// the document list.
+Result<std::vector<StoredDocument>> OpenStore(const std::string& directory,
+                                              Env* env) {
+  XYDIFF_RETURN_IF_ERROR(RecoverRepositoryBatch(directory, env));
+  Result<std::string> manifest =
+      env->ReadFile(directory + "/" + kManifestName);
+  if (!manifest.ok()) return manifest.status();
+  std::vector<StoredDocument> documents;
+  for (std::string_view line : SplitLines(*manifest)) {
+    const size_t tab = line.find('\t');
+    if (tab == std::string_view::npos) continue;
+    documents.push_back({directory + "/" + std::string(line.substr(0, tab)),
+                         std::string(line.substr(tab + 1))});
+  }
+  return documents;
+}
+
 /// Lock-free running maximum: raises `target` to at least `value`, for
 /// high-water marks sampled from many workers at once.
 void UpdateAtomicMax(std::atomic<size_t>& target, size_t value) {
@@ -300,58 +329,22 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   Mutex group_mutex;
   std::vector<size_t> parked_slots;
 
-  // Persists one flushed group, then finishes its slots. Annotation
-  // opt-out: the per-document locks are taken in a loop (URL order),
-  // which the static analysis cannot follow. The order is deadlock-free
-  // — group flushers agree on it, and every other path holds at most
-  // one document lock at a time.
-  const auto flush_group = [&](std::vector<size_t> group)
-      XY_NO_THREAD_SAFETY_ANALYSIS {
+  // Persists one flushed group, then finishes its slots.
+  const auto flush_group = [&](const std::vector<size_t>& group) {
     if (group.empty()) return;
-    std::sort(group.begin(), group.end(), [&](size_t a, size_t b) {
-      return results[a]->url < results[b]->url;
-    });
-    std::vector<Document*> docs(group.size(), nullptr);
-    std::vector<RepositorySaveSlot> slots;
-    slots.reserve(group.size());
-    // Resolve every document BEFORE taking the first lock: FindDocument
-    // acquires a shard mutex, and calling it from inside the locking
-    // loop would nest shard acquisition under already-held document
-    // locks — the inverse of the shard -> document order used everywhere
-    // else.
-    for (size_t g = 0; g < group.size(); ++g) {
-      docs[g] = FindDocument(results[group[g]]->url);
-    }
-    for (size_t g = 0; g < group.size(); ++g) {
-      if (docs[g] != nullptr) docs[g]->mutex.lock();
-    }
-    for (size_t g = 0; g < group.size(); ++g) {
-      if (docs[g] != nullptr && docs[g]->repo != nullptr) {
-        slots.push_back(RepositorySaveSlot{
-            docs[g]->repo.get(), SanitizeUrl(results[group[g]]->url)});
-      }
-    }
+    std::vector<std::string> urls;
+    for (size_t index : group) urls.push_back(results[index]->url);
     // Deadline-aware, jittered retry around the group commit; the jitter
     // seed is salted per group so concurrent groups retrying the same
-    // transient fault desynchronize deterministically. The context is
-    // also threaded INTO SaveRepositoryBatch, which checks it between
-    // slots and before — never after — the journal write, so a deadline
-    // mid-save leaves disk bit-exactly pre-batch.
+    // transient fault desynchronize deterministically.
     RetryPolicy policy;
     policy.max_retries = pipeline.max_io_retries;
     policy.backoff_ms = pipeline.retry_backoff_ms;
     policy.jitter_seed = 0x5EEDF00DULL ^ flush_ordinal.fetch_add(1);
     size_t group_retries = 0;
-    const Status saved = RetryTransient(
-        policy, pipeline.context,
-        [&] {
-          return SaveRepositoryBatch(slots, pipeline.save_directory,
-                                     pipeline.env, pipeline.context);
-        },
-        &group_retries);
-    for (size_t g = group.size(); g > 0; --g) {
-      if (docs[g - 1] != nullptr) docs[g - 1]->mutex.unlock();
-    }
+    const Status saved =
+        SaveGroup(std::move(urls), pipeline.save_directory, pipeline.env,
+                  pipeline.context, policy, &group_retries);
     RecordStoreHealth(saved, pipeline);
     if (!saved.ok() && IsContextError(saved.code())) {
       // The in-memory ingests stand; only persistence was cut short.
@@ -494,7 +487,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       parked_slots.push_back(i);
       if (parked_slots.size() >= kGroupCommitSlots) full.swap(parked_slots);
     }
-    flush_group(std::move(full));
+    flush_group(full);
     return true;
   };
 
@@ -509,7 +502,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     if (!run_admitted(i)) in_flight.fetch_sub(1, std::memory_order_relaxed);
   });
   // Every worker has returned: flush the partial tail group, once.
-  flush_group(std::move(parked_slots));
+  flush_group(parked_slots);
 
   if (stats != nullptr) {
     *stats = PipelineStats{};
@@ -681,63 +674,104 @@ std::string Warehouse::StatsReport(size_t limit) const {
 }
 
 std::string Warehouse::SanitizeUrl(const std::string& url) {
+  // Injective: a kept byte is never '_', so every '_' starts an escape.
   std::string out;
-  out.reserve(url.size());
-  for (char c : url) {
-    out += (std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-            c == '-')
-               ? c
-               : '_';
+  for (size_t i = 0; i < url.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(url[i]);
+    if (std::isalnum(c) || c == '-' || (c == '.' && i > 0)) {
+      out += static_cast<char>(c);
+    } else {
+      char escape[4];
+      std::snprintf(escape, sizeof(escape), "_%02x", c);
+      out += escape;
+    }
   }
   return out.empty() ? "_" : out;
+}
+
+Status Warehouse::SaveGroup(std::vector<std::string> urls,
+                            const std::string& directory, Env* env,
+                            const Context* context, const RetryPolicy& policy,
+                            size_t* retries) const {
+  std::sort(urls.begin(), urls.end());
+  // Resolve every document BEFORE taking the first lock: FindDocument
+  // acquires a shard mutex, and calling it from inside the locking loop
+  // would nest shard acquisition under already-held document locks — the
+  // inverse of the shard -> document order used everywhere else.
+  std::vector<Document*> docs;
+  for (const std::string& url : urls) docs.push_back(FindDocument(url));
+  for (Document* doc : docs) {
+    if (doc != nullptr) doc->mutex.lock();
+  }
+  std::vector<RepositorySaveSlot> slots;
+  for (size_t i = 0; i < urls.size(); ++i) {
+    if (docs[i] != nullptr && docs[i]->repo != nullptr) {
+      slots.push_back({docs[i]->repo.get(), SanitizeUrl(urls[i])});
+    }
+  }
+  // SaveRepositoryBatch checks the context between slots and before —
+  // never after — the journal write, so a deadline mid-save leaves disk
+  // bit-exactly pre-commit.
+  const Status saved = RetryTransient(
+      policy, context,
+      [&] { return SaveRepositoryBatch(slots, directory, env, context); },
+      retries);
+  for (size_t i = docs.size(); i > 0; --i) {
+    if (docs[i - 1] != nullptr) docs[i - 1]->mutex.unlock();
+  }
+  return saved;
 }
 
 Status Warehouse::Save(const std::string& directory, Env* env) const {
   if (env == nullptr) env = Env::Default();
   XYDIFF_RETURN_IF_ERROR(env->CreateDirs(directory));
+  // The document list lands first; the commit's parent directory sync
+  // makes it durable. A listed document whose first commit did not land
+  // has no repository yet, and Load reports it skipped.
+  std::vector<std::string> all = urls();
   std::string manifest;
-  for (const auto& [url, doc] : SnapshotSlots()) {
-    MutexLock doc_lock(doc->mutex);
-    if (doc->repo == nullptr) continue;  // Slot created, never committed.
-    const std::string sub = directory + "/" + SanitizeUrl(url);
-    XYDIFF_RETURN_IF_ERROR(SaveRepository(*doc->repo, sub, env));
+  for (const std::string& url : all) {
     manifest += SanitizeUrl(url) + "\t" + url + "\n";
   }
-  return env->WriteFileAtomic(directory + "/manifest.tsv", manifest);
+  XYDIFF_RETURN_IF_ERROR(
+      env->WriteFileAtomic(directory + "/" + kManifestName, manifest));
+  return SaveGroup(std::move(all), directory, env, /*context=*/nullptr,
+                   RetryPolicy{/*max_retries=*/0}, /*retries=*/nullptr);
+}
+
+Result<VersionRepository> Warehouse::LoadDocument(const std::string& directory,
+                                                  const std::string& url,
+                                                  Env* env,
+                                                  RecoveryReport* report) {
+  if (env == nullptr) env = Env::Default();
+  Result<std::vector<StoredDocument>> stored = OpenStore(directory, env);
+  if (!stored.ok()) return stored.status();
+  for (const StoredDocument& document : *stored) {
+    if (document.url == url) return LoadRepository(document.path, env, report);
+  }
+  return Status::NotFound("no document '" + url + "' in warehouse " +
+                          directory);
 }
 
 Result<std::unique_ptr<Warehouse>> Warehouse::Load(
     const std::string& directory, DiffOptions options,
     std::vector<std::string>* skipped, Env* env) {
   if (env == nullptr) env = Env::Default();
-  // A crashed DiffBatch group commit may have left a batch journal; roll
-  // it forward (or discard a torn one) before trusting the slots.
-  XYDIFF_RETURN_IF_ERROR(RecoverRepositoryBatch(directory, env));
-  Result<std::string> manifest = env->ReadFile(directory + "/manifest.tsv");
-  if (!manifest.ok()) {
-    if (manifest.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("no warehouse manifest in " + directory);
-    }
-    return manifest.status();
-  }
+  Result<std::vector<StoredDocument>> stored = OpenStore(directory, env);
+  if (!stored.ok()) return stored.status();
   auto warehouse = std::make_unique<Warehouse>(options);
-  for (std::string_view line : SplitLines(*manifest)) {
-    const size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) continue;
-    const std::string sub(line.substr(0, tab));
-    const std::string url(line.substr(tab + 1));
-    Result<VersionRepository> repo =
-        LoadRepository(directory + "/" + sub, env);
+  for (const StoredDocument& document : *stored) {
+    Result<VersionRepository> repo = LoadRepository(document.path, env);
     if (!repo.ok()) {
       // A malformed stored document loses only itself, never the batch:
       // record the error and keep loading the healthy documents.
       if (skipped != nullptr) {
-        skipped->push_back(url + ": " + repo.status().ToString());
+        skipped->push_back(document.url + ": " + repo.status().ToString());
       }
       continue;
     }
     bool created = false;
-    Document* slot = warehouse->FindOrCreateDocument(url, &created);
+    Document* slot = warehouse->FindOrCreateDocument(document.url, &created);
     // Uncontended (the warehouse is not yet published), but the slot's
     // contents are guarded members, so hold the lock anyway.
     MutexLock lock(slot->mutex);

@@ -22,6 +22,9 @@
 
 namespace xydiff {
 
+struct RecoveryReport;
+struct RetryPolicy;
+
 /// Per-stage counters of one DiffBatch run. A slot runs parse → diff →
 /// store start to finish on the worker that claimed it, so no stage ever
 /// waits on a queue: `peak_queue_depth` and `stall_seconds` are always 0.
@@ -244,10 +247,13 @@ class Warehouse {
   ChangeStatistics::LabelStats StatsForLabel(const std::string& label) const;
   std::string StatsReport(size_t limit = 10) const;
 
-  /// Persists every document's repository under `directory/<sanitized
-  /// url>/` (each crash-safe, see version/storage.h). Subscriptions,
-  /// statistics and the index are derived state and are rebuilt on load.
-  /// All I/O goes through `env` (nullptr means Env::Default()).
+  /// Persists every document's repository under `directory/<escaped
+  /// url>/` in ONE group commit, holding every document lock for its
+  /// length: after a crash, Load sees every document as of the previous
+  /// save or every one as of this one.
+  /// Subscriptions, statistics and the index are derived state and are
+  /// rebuilt on load. All I/O goes through `env` (nullptr means
+  /// Env::Default()).
   Status Save(const std::string& directory, Env* env = nullptr) const;
 
   /// Loads a warehouse persisted by Save. Subscriptions must be
@@ -261,6 +267,12 @@ class Warehouse {
   static Result<std::unique_ptr<Warehouse>> Load(
       const std::string& directory, DiffOptions options = {},
       std::vector<std::string>* skipped = nullptr, Env* env = nullptr);
+
+  /// Loads one document's repository, looked up by URL, from a store
+  /// written by Save, as Load would; `report` as in LoadRepository.
+  static Result<VersionRepository> LoadDocument(
+      const std::string& directory, const std::string& url,
+      Env* env = nullptr, RecoveryReport* report = nullptr);
 
  private:
   struct Document {
@@ -298,8 +310,19 @@ class Warehouse {
   /// DiffBatch group-commit width (see PipelineOptions::save_directory).
   static constexpr size_t kGroupCommitSlots = 8;
 
-  /// Directory-safe encoding of a URL.
+  /// A URL's directory name in a store: bytes in [A-Za-z0-9.-] are kept,
+  /// any other byte (and a leading '.') becomes '_' plus two hex digits.
   static std::string SanitizeUrl(const std::string& url);
+
+  /// Group-commits the repositories of `urls` (distinct) under
+  /// `directory` in ONE SaveRepositoryBatch, retried under `policy`,
+  /// with every document locked in URL order for its length. Annotation
+  /// opt-out: the analysis cannot follow locks taken in a loop. Every
+  /// other path holds at most one document lock, so this cannot deadlock.
+  Status SaveGroup(std::vector<std::string> urls,
+                   const std::string& directory, Env* env,
+                   const Context* context, const RetryPolicy& policy,
+                   size_t* retries) const XY_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Ingest with the monitor-maintenance policy chosen by the caller:
   /// `defer_monitors` marks the document's index stale (lazily rebuilt)

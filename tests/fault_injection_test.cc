@@ -4,6 +4,8 @@
 // whatever single operation fails (EIO), crashes the process, or tears
 // mid-write, reopening the directory yields either the pre-save or the
 // post-save repository, bit-exactly (XIDs included), never a hybrid.
+// Group commits (SaveRepositoryBatch, and Warehouse::Save built on it)
+// extend that to every repository of the group: all pre or all post.
 //
 // The sweep is exhaustive, not sampled: every operation index is tried
 // until a run completes without its fault triggering (meaning the index
@@ -16,6 +18,7 @@
 
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -430,6 +433,34 @@ TEST_F(FaultInjectionTest, FailFastAbortsRemainingSlots) {
   EXPECT_EQ(results[2].status().code(), StatusCode::kAborted);
 }
 
+/// The group-commit contract over reopened slot signatures: every slot
+/// reads back bit-exactly pre- or post-save, ALL slots the same way (a
+/// mix is a torn group commit), and all post-save when the save
+/// reported success — a successful return means the commit point was
+/// passed, so recovery must finish the group, never roll it back.
+void ExpectAllPreOrAllPost(
+    const std::vector<std::vector<std::string>>& reopened,
+    const std::vector<std::vector<std::string>>& sig_before,
+    const std::vector<std::vector<std::string>>& sig_after, bool saved) {
+  size_t pre = 0, post = 0;
+  for (size_t i = 0; i < reopened.size(); ++i) {
+    if (reopened[i] == sig_before[i]) {
+      ++pre;
+    } else if (reopened[i] == sig_after[i]) {
+      ++post;
+    } else {
+      ADD_FAILURE() << "slot " << i
+                    << " reopened as neither pre- nor post-save";
+    }
+  }
+  EXPECT_TRUE(pre == reopened.size() || post == reopened.size())
+      << "torn group commit: " << pre << " slot(s) pre-save, " << post
+      << " post-save";
+  if (saved) {
+    EXPECT_EQ(post, reopened.size());
+  }
+}
+
 /// Probes one fault point of a 3-slot SaveRepositoryBatch: seed every
 /// slot with its pre-batch repository, arm the fault, run the batched
 /// save, "crash" (drop un-synced data), recover the parent directory,
@@ -470,32 +501,17 @@ bool ProbeBatchFaultPoint(
   // one), exactly what Warehouse::Load does before touching any slot.
   XY_EXPECT_OK(RecoverRepositoryBatch(parent));
 
-  size_t pre = 0, post = 0;
+  std::vector<std::vector<std::string>> reopened;
   for (size_t i = 0; i < after.size(); ++i) {
     RecoveryReport report;
-    Result<VersionRepository> reopened = LoadRepository(
+    Result<VersionRepository> repo = LoadRepository(
         parent + "/slot" + std::to_string(i), nullptr, &report);
-    EXPECT_TRUE(reopened.ok())
-        << reopened.status().ToString() << "\n" << report.ToString();
-    if (!reopened.ok()) return triggered;
-    const std::vector<std::string> sig = Signature(*reopened);
-    if (sig == sig_before[i]) {
-      ++pre;
-    } else if (sig == sig_after[i]) {
-      ++post;
-    } else {
-      ADD_FAILURE() << "slot " << i << " reopened as neither pre- nor "
-                    << "post-batch\n" << report.ToString();
-    }
+    EXPECT_TRUE(repo.ok())
+        << repo.status().ToString() << "\n" << report.ToString();
+    if (!repo.ok()) return triggered;
+    reopened.push_back(Signature(*repo));
   }
-  EXPECT_TRUE(pre == after.size() || post == after.size())
-      << "torn group commit: " << pre << " slot(s) pre-batch, " << post
-      << " post-batch";
-  if (saved.ok()) {
-    // A successful return means the journal committed; recovery must
-    // then finish the whole batch, never roll it back.
-    EXPECT_EQ(post, after.size());
-  }
+  ExpectAllPreOrAllPost(reopened, sig_before, sig_after, saved.ok());
   return triggered;
 }
 
@@ -641,6 +657,96 @@ TEST_F(FaultInjectionTest, DeadlineCrossTornWriteLeavesNoHybrid) {
           ExpiresIn25ms);
     }
   }
+}
+
+/// Every version of one warehouse document, serialized with XIDs (the
+/// warehouse counterpart of Signature).
+std::vector<std::string> DocumentSignature(const Warehouse& warehouse,
+                                           const std::string& url) {
+  std::vector<std::string> out;
+  SerializeOptions options;
+  options.emit_xids = true;
+  for (int v = 1; v <= warehouse.version_count(url); ++v) {
+    Result<XmlDocument> doc = warehouse.Checkout(url, v);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    out.push_back(doc.ok() ? SerializeDocument(*doc, options)
+                           : std::string());
+  }
+  return out;
+}
+
+/// Three documents, each ingested `versions` times along one seeded
+/// trajectory, so MakeWarehouse(2) and MakeWarehouse(3) agree on
+/// versions 1 and 2 of every document.
+std::unique_ptr<Warehouse> MakeWarehouse(const std::vector<std::string>& urls,
+                                         int versions) {
+  auto warehouse = std::make_unique<Warehouse>();
+  for (size_t d = 0; d < urls.size(); ++d) {
+    Rng rng(600 + d);
+    DocGenOptions gen;
+    gen.target_bytes = 512;
+    EXPECT_TRUE(warehouse->Ingest(urls[d], GenerateDocument(&rng, gen)).ok());
+    for (int v = 2; v <= versions; ++v) {
+      Result<XmlDocument> current = warehouse->Checkout(urls[d], v - 1);
+      EXPECT_TRUE(current.ok());
+      if (!current.ok()) break;
+      Result<SimulatedChange> change =
+          SimulateChanges(*current, ChangeSimOptions{}, &rng);
+      EXPECT_TRUE(change.ok());
+      if (!change.ok()) break;
+      EXPECT_TRUE(
+          warehouse->Ingest(urls[d], std::move(change->new_version)).ok());
+    }
+  }
+  return warehouse;
+}
+
+TEST_F(FaultInjectionTest, WarehouseSaveCrashAtEveryOperationIsAllOrNothing) {
+  // Warehouse::Save commits every document in one group commit: a crash
+  // at any env op of the save that moves each of three documents one
+  // version forward must reopen, through Warehouse::Load, with every
+  // document pre-save or every one post-save.
+  const std::vector<std::string> urls = {"http://x.com/a?b", "http://x.com/c",
+                                         "http://x.com/d_e"};
+  const std::unique_ptr<Warehouse> before = MakeWarehouse(urls, 2);
+  const std::unique_ptr<Warehouse> after = MakeWarehouse(urls, 3);
+  std::vector<std::vector<std::string>> sig_before, sig_after;
+  for (const std::string& url : urls) {
+    sig_before.push_back(DocumentSignature(*before, url));
+    sig_after.push_back(DocumentSignature(*after, url));
+    ASSERT_EQ(sig_before.back().size(), 2u);
+    ASSERT_EQ(sig_after.back().size(), 3u);
+  }
+
+  int op = 0;
+  for (; op < 10000; ++op) {
+    fs::remove_all(dir_);
+    FaultInjectionEnv env;
+    XY_ASSERT_OK(before->Save(Dir(), &env));
+    env.Reset();  // Disk state stands; forget counters and durable images.
+    env.CrashAt(op);
+    const Status saved = after->Save(Dir(), &env);
+    const bool triggered = env.triggered();
+    XY_ASSERT_OK(env.DropUnsyncedData());
+
+    std::vector<std::string> skipped;
+    Result<std::unique_ptr<Warehouse>> reopened =
+        Warehouse::Load(Dir(), DiffOptions{}, &skipped);
+    ASSERT_TRUE(reopened.ok()) << "op " << op << ": "
+                               << reopened.status().ToString();
+    EXPECT_TRUE(skipped.empty()) << "op " << op << ": " << skipped.front();
+    std::vector<std::vector<std::string>> sigs;
+    for (const std::string& url : urls) {
+      sigs.push_back(DocumentSignature(**reopened, url));
+    }
+    SCOPED_TRACE("crash at op " + std::to_string(op));
+    ExpectAllPreOrAllPost(sigs, sig_before, sig_after, saved.ok());
+    if (!triggered) break;
+  }
+  // Three documents plus the document list and the journal: far more
+  // ops than one repository's save.
+  EXPECT_GT(op, 20);
+  EXPECT_LT(op, 10000);
 }
 
 TEST_F(FaultInjectionTest, DelayAtStallsTheTargetedOperations) {

@@ -91,6 +91,22 @@ TEST_F(FuzzTest, OraclesPassOnFriendlyTrials) {
   }
 }
 
+// With a scratch directory, the configuration oracle also takes the
+// 4-thread DiffBatch warehouse through Save and Load.
+TEST_F(FuzzTest, ConfigurationOracleRoundTripsThroughAStore) {
+  const FuzzProfile* profile = FindFuzzProfile("paper-default");
+  ASSERT_NE(profile, nullptr);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const FuzzTrial trial = GenerateTrial(*profile, seed, 1024);
+    ASSERT_TRUE(trial.has_versions()) << trial.ReproLine();
+    const std::string scratch = Dir() + "/config-" + std::to_string(seed);
+    const OracleReport report = CheckTrialOracles(trial, {}, scratch);
+    EXPECT_TRUE(report.ok())
+        << trial.ReproLine() << ": " << report.ToString();
+    EXPECT_TRUE(fs::exists(scratch + "/manifest.tsv")) << scratch;
+  }
+}
+
 // The raw-byte grammars' first oracle is the hardened parser: every
 // hostile input must either parse into a judged version chain or be
 // rejected with a clean ParseError — and the grammar must actually

@@ -1,18 +1,19 @@
 #include "version/storage.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "delta/codec.h"
-#include "delta/delta_xml.h"
 #include "gtest/gtest.h"
 #include "simulator/change_simulator.h"
 #include "simulator/doc_generator.h"
 #include "tests/test_util.h"
 #include "util/hash.h"
 #include "util/random.h"
+#include "version/warehouse.h"
+#include "xml/serializer.h"
 
 namespace xydiff {
 namespace {
@@ -428,110 +429,6 @@ TEST_F(StorageTest, CorruptCheckpointDropsIndexKeepsChain) {
   ExpectAllVersionsEqual(repo, *loaded);
 }
 
-// --- legacy XML delta chains ------------------------------------------
-
-std::string TestHex64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-/// Rewrites one `file NAME SIZE CRC` manifest entry (and the manifest's
-/// self-checksum) so the store references `new_name` instead — the
-/// on-disk state a pre-codec version of this library would have left.
-void RewriteManifestEntry(const fs::path& dir, const std::string& old_name,
-                          const std::string& new_name,
-                          const std::string& new_content) {
-  std::string manifest;
-  {
-    std::ifstream in(dir / "MANIFEST", std::ios::binary);
-    ASSERT_TRUE(in);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    manifest = buffer.str();
-  }
-  std::string body = manifest.substr(0, manifest.rfind("crc "));
-  const size_t entry = body.find("file " + old_name + " ");
-  ASSERT_NE(entry, std::string::npos) << body;
-  const size_t entry_end = body.find('\n', entry);
-  body.replace(entry, entry_end - entry,
-               "file " + new_name + " " + std::to_string(new_content.size()) +
-                   " " + TestHex64(Crc64(new_content)));
-  {
-    std::ofstream out(dir / "MANIFEST", std::ios::binary | std::ios::trunc);
-    out << body << "crc " << TestHex64(Crc64(body)) << "\n";
-  }
-}
-
-TEST_F(StorageTest, LegacyXmlDeltaLoadsAndUpgradesOnSave) {
-  VersionRepository repo = MakeRepo(23, 3);  // 4 versions, 3 deltas.
-  XY_ASSERT_OK(SaveRepository(repo, Dir()));
-
-  // Regress delta 2 to the legacy format: XML bytes on disk, manifest
-  // entry rewritten, binary file gone — a mixed-format chain.
-  Result<const Delta*> d2 = repo.DeltaFor(2);
-  ASSERT_TRUE(d2.ok());
-  const std::string xml = SerializeDelta(**d2);
-  {
-    std::ofstream out(dir_ / "delta.000002.xml",
-                      std::ios::binary | std::ios::trunc);
-    out << xml;
-  }
-  RewriteManifestEntry(dir_, "delta.000002.bin", "delta.000002.xml", xml);
-  fs::remove(dir_ / "delta.000002.bin");
-
-  RecoveryReport report;
-  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(report.clean) << report.ToString();
-  ExpectAllVersionsEqual(repo, *loaded);
-
-  // The next save upgrades the whole chain to binary and the stale XML
-  // file is cleaned up as unreferenced.
-  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
-  EXPECT_TRUE(fs::exists(dir_ / "delta.000002.bin"));
-  EXPECT_FALSE(fs::exists(dir_ / "delta.000002.xml"));
-  Result<VersionRepository> upgraded = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_TRUE(report.clean);
-  ExpectAllVersionsEqual(repo, *upgraded);
-}
-
-TEST_F(StorageTest, MixedFormatChainRecoversFromCorruption) {
-  VersionRepository repo = MakeRepo(24, 4);  // 5 versions, 4 deltas.
-  XY_ASSERT_OK(SaveRepository(repo, Dir()));
-  // Delta 1 becomes legacy XML, then delta 3 rots: recovery must sever
-  // versions 1-3 (dropping both formats' files) and keep 4-5.
-  Result<const Delta*> d1 = repo.DeltaFor(1);
-  ASSERT_TRUE(d1.ok());
-  const std::string xml = SerializeDelta(**d1);
-  {
-    std::ofstream out(dir_ / "delta.000001.xml",
-                      std::ios::binary | std::ios::trunc);
-    out << xml;
-  }
-  RewriteManifestEntry(dir_, "delta.000001.bin", "delta.000001.xml", xml);
-  fs::remove(dir_ / "delta.000001.bin");
-  FlipByte(Dir() + "/delta.000003.bin");
-
-  RecoveryReport report;
-  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.dropped_deltas, 3u);
-  EXPECT_EQ(loaded->version_count(), 2);
-  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "delta.000001.xml"));
-  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "delta.000003.bin"));
-  for (int v = 1; v <= 2; ++v) {
-    Result<XmlDocument> original = repo.Checkout(v + 3);
-    Result<XmlDocument> recovered = loaded->Checkout(v);
-    ASSERT_TRUE(original.ok());
-    ASSERT_TRUE(recovered.ok());
-    EXPECT_TRUE(DocsEqualWithXids(*original, *recovered)) << "version " << v;
-  }
-}
-
 // --- encoding digests of chain deltas -----------------------------------
 // A save encodes a chain delta only when the repository holds no digest
 // for it or the old MANIFEST disagrees with that digest. Each case below
@@ -649,41 +546,6 @@ TEST_F(StorageTest, DigestsOfAnotherRepositoryDoNotMatchAnExistingStore) {
   ExpectReloadsAs(Dir(), second);
 }
 
-TEST_F(StorageTest, LegacyXmlChainIsUpgradedByTheNextSave) {
-  VersionRepository repo = MakeRepo(48, 3);
-  XY_ASSERT_OK(SaveRepository(repo, Dir()));
-  // Regress the whole chain to the legacy XML format.
-  for (int v = 1; v <= 3; ++v) {
-    Result<const Delta*> delta = repo.DeltaFor(v);
-    ASSERT_TRUE(delta.ok());
-    const std::string xml = SerializeDelta(**delta);
-    char bin[32], legacy[32];
-    std::snprintf(bin, sizeof(bin), "delta.%06d.bin", v);
-    std::snprintf(legacy, sizeof(legacy), "delta.%06d.xml", v);
-    {
-      std::ofstream out(dir_ / legacy, std::ios::binary | std::ios::trunc);
-      out << xml;
-    }
-    RewriteManifestEntry(dir_, bin, legacy, xml);
-    fs::remove(dir_ / bin);
-  }
-  Result<VersionRepository> loaded = LoadRepository(Dir());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  for (size_t i = 0; i < loaded->deltas().size(); ++i) {
-    EXPECT_FALSE(loaded->delta_digest(i).has_value()) << i;
-  }
-
-  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
-  for (int v = 1; v <= 3; ++v) {
-    char bin[32], legacy[32];
-    std::snprintf(bin, sizeof(bin), "delta.%06d.bin", v);
-    std::snprintf(legacy, sizeof(legacy), "delta.%06d.xml", v);
-    EXPECT_TRUE(fs::exists(dir_ / bin)) << bin;
-    EXPECT_FALSE(fs::exists(dir_ / legacy)) << legacy;
-  }
-  ExpectReloadsAs(Dir(), repo);
-}
-
 TEST_F(StorageTest, MetaTreeSizeMismatchRejected) {
   fs::create_directories(dir_);
   XmlDocument doc = MustParse("<r><a/></r>");
@@ -698,6 +560,102 @@ TEST_F(StorageTest, MetaTreeSizeMismatchRejected) {
   Result<XmlDocument> loaded =
       LoadDocumentWithXids(Dir() + "/d.xml", Dir() + "/d.meta");
   EXPECT_FALSE(loaded.ok());
+}
+
+// --- one store, two writers ---------------------------------------------
+
+/// The `file` entries of a repository's MANIFEST as name -> "size crc",
+/// except that current.<epoch>.* entries are keyed by their suffix alone
+/// ("current.xml", "current.meta"): their epoch numbers count the saves
+/// that wrote the store.
+std::map<std::string, std::string> ManifestEntries(const std::string& dir) {
+  std::ifstream in(dir + "/MANIFEST", std::ios::binary);
+  EXPECT_TRUE(in) << dir;
+  std::map<std::string, std::string> entries;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string keyword, name, size, crc;
+    if (!(fields >> keyword >> name >> size >> crc) || keyword != "file") {
+      continue;
+    }
+    if (name.rfind("current.", 0) == 0) {
+      name = "current" + name.substr(name.rfind('.'));
+    }
+    entries[name] = size + " " + crc;
+  }
+  return entries;
+}
+
+TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
+  // One warehouse's store written twice: commit by commit through
+  // DiffBatch group commits, and at once by Warehouse::Save into a fresh
+  // directory. Both must list the same delta, checkpoint and skip files
+  // (name, size, CRC) and current files of the same size and CRC.
+  const std::vector<std::string> urls = {"doc0", "doc1", "doc2"};
+  const std::string incremental = Dir() + "/incremental";
+  const std::string fresh = Dir() + "/fresh";
+  Rng rng(61);
+  DocGenOptions gen;
+  gen.target_bytes = 1024;
+  const auto next_version = [&rng](const XmlDocument& current) {
+    Result<SimulatedChange> change =
+        SimulateChanges(current, ChangeSimOptions{}, &rng);
+    EXPECT_TRUE(change.ok());
+    return change.ok() ? std::move(change->new_version) : current.Clone();
+  };
+
+  // Seed: two versions of each document, then a reconstruction index in
+  // every stored repository, so the commits below also write checkpoint
+  // and skip files.
+  {
+    Warehouse seed;
+    for (const std::string& url : urls) {
+      XmlDocument v1 = GenerateDocument(&rng, gen);
+      v1.AssignInitialXids();
+      XmlDocument v2 = next_version(v1);
+      ASSERT_TRUE(seed.Ingest(url, std::move(v1)).ok());
+      ASSERT_TRUE(seed.Ingest(url, std::move(v2)).ok());
+    }
+    XY_ASSERT_OK(seed.Save(incremental));
+  }
+  for (const std::string& url : urls) {
+    Result<VersionRepository> repo = LoadRepository(incremental + "/" + url);
+    ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+    XY_ASSERT_OK(repo->EnsureReconstructionIndex());
+    XY_ASSERT_OK(SaveRepository(*repo, incremental + "/" + url));
+  }
+  Result<std::unique_ptr<Warehouse>> warehouse = Warehouse::Load(incremental);
+  ASSERT_TRUE(warehouse.ok()) << warehouse.status().ToString();
+
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  pipeline.save_directory = incremental;
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Warehouse::DiffJob> jobs;
+    for (const std::string& url : urls) {
+      Result<XmlDocument> current =
+          (*warehouse)->Checkout(url, (*warehouse)->version_count(url));
+      ASSERT_TRUE(current.ok()) << current.status().ToString();
+      jobs.push_back({url, SerializeDocument(next_version(*current))});
+    }
+    for (const auto& r : (*warehouse)->DiffBatch(std::move(jobs), pipeline)) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_FALSE(r->store_degraded) << r->url;
+    }
+  }
+  XY_ASSERT_OK((*warehouse)->Save(fresh));
+
+  for (const std::string& url : urls) {
+    const std::map<std::string, std::string> committed =
+        ManifestEntries(incremental + "/" + url);
+    EXPECT_EQ(committed, ManifestEntries(fresh + "/" + url)) << url;
+    // 8 versions: 7 deltas, the checkpoint pair, skip files, current pair.
+    EXPECT_EQ(committed.count("delta.000007.bin"), 1u) << url;
+    EXPECT_EQ(committed.count("checkpoint.000001.xml"), 1u) << url;
+    EXPECT_EQ(committed.count("skip.000000.000000.bin"), 1u) << url;
+    EXPECT_EQ(committed.count("current.xml"), 1u) << url;
+  }
 }
 
 }  // namespace

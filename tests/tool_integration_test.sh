@@ -50,11 +50,14 @@ grep -q "updated" explain.txt
 echo "-- batch (parallel pipeline)"
 cp old.xml old2.xml
 cp new.xml new2.xml
+URL='http://example.com/news/list?id=7&page=2'
 printf 'old.xml\tnew.xml\tdoc-a\nold2.xml\tnew2.xml\tdoc-b\n' > manifest.tsv
+printf 'old.xml\tnew.xml\t%s\n' "$URL" >> manifest.tsv
 "$TOOL" batch manifest.tsv -o warehouse --threads 2 --stats \
   > batch_out.txt 2> batch_stats.txt
 grep -q "doc-a: v2" batch_out.txt
 grep -q "doc-b: v2" batch_out.txt
+grep -q "$URL: v2" batch_out.txt
 grep -q "parse" batch_stats.txt
 [ -d warehouse ] || { echo "warehouse directory not saved"; exit 1; }
 # A malformed member fails its slot, not the batch.
@@ -88,6 +91,14 @@ grep -q "2 of 2" co_stats.txt
 "$TOOL" checkout warehouse doc-a --version 1 -o co_v1.xml
 "$TOOL" diff co_v1.xml old.xml -o co_empty1.xml
 "$TOOL" stats co_empty1.xml | grep -q "operations     : 0"
+# A URL with '/' and '?' checks out by the URL itself, at both versions.
+"$TOOL" checkout warehouse "$URL" -o co_url.xml --stats 2> co_url_stats.txt
+grep -q "2 of 2" co_url_stats.txt
+"$TOOL" diff co_url.xml new.xml -o co_url_empty.xml
+"$TOOL" stats co_url_empty.xml | grep -q "operations     : 0"
+"$TOOL" checkout warehouse "$URL" --version 1 -o co_url_v1.xml
+"$TOOL" diff co_url_v1.xml old.xml -o co_url_empty1.xml
+"$TOOL" stats co_url_empty1.xml | grep -q "operations     : 0"
 # Unknown URL and out-of-range version fail with exit 1.
 if "$TOOL" checkout warehouse no-such-doc 2> co_err.txt; then
   echo "expected a NotFound error for an unknown URL"; exit 1

@@ -300,6 +300,58 @@ TEST(WarehouseTest, GroupCommitPersistsEveryDocument) {
   fs::remove_all(dir);
 }
 
+// Regression: the directory name of a URL used to replace every byte
+// outside [A-Za-z0-9.-] with '_', so "a?b" and "a_b" shared one
+// repository and Save silently kept only the second. A DiffBatch group
+// holding both failed with "duplicate batch slot".
+TEST(WarehouseTest, UrlsDifferingInEscapedBytesKeepTheirOwnRepository) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xydiff_url_names_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::string question = "http://x.com/a?b";
+  const std::string underscore = "http://x.com/a_b";
+
+  Warehouse warehouse;
+  ASSERT_TRUE(
+      warehouse.Ingest(question, MustParse("<r><b>first</b></r>")).ok());
+  ASSERT_TRUE(
+      warehouse.Ingest(underscore, MustParse("<r><b>second</b></r>")).ok());
+  XY_ASSERT_OK(warehouse.Save(dir.string()));
+  Result<std::unique_ptr<Warehouse>> loaded = Warehouse::Load(dir.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ((*loaded)->document_count(), 2u);
+  for (const auto& [url, text] :
+       {std::pair<std::string, std::string>{question, "first"},
+        std::pair<std::string, std::string>{underscore, "second"}}) {
+    Result<XmlDocument> doc = (*loaded)->Checkout(url, 1);
+    ASSERT_TRUE(doc.ok()) << url << ": " << doc.status().ToString();
+    EXPECT_EQ(doc->root()->child(0)->child(0)->text(), text) << url;
+  }
+
+  // Both URLs in one DiffBatch group commit.
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 1;
+  pipeline.save_directory = dir.string();
+  std::vector<Warehouse::DiffJob> jobs;
+  jobs.push_back({question, "<r><b>first, again</b></r>"});
+  jobs.push_back({underscore, "<r><b>second, again</b></r>"});
+  for (const auto& r : warehouse.DiffBatch(std::move(jobs), pipeline)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->store_degraded) << r->url;
+  }
+  for (const auto& [url, text] :
+       {std::pair<std::string, std::string>{question, "first, again"},
+        std::pair<std::string, std::string>{underscore, "second, again"}}) {
+    Result<VersionRepository> repo =
+        Warehouse::LoadDocument(dir.string(), url);
+    ASSERT_TRUE(repo.ok()) << url << ": " << repo.status().ToString();
+    ASSERT_EQ(repo->version_count(), 2) << url;
+    EXPECT_EQ(repo->current().root()->child(0)->child(0)->text(), text)
+        << url;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(WarehouseTest, EmptyDocumentRejected) {
   Warehouse warehouse;
   EXPECT_EQ(warehouse.Ingest("u", XmlDocument()).status().code(),

@@ -8,7 +8,7 @@
 //   fuzz_driver [--profiles a,b,c] [--trials N] [--size BYTES]
 //               [--seed-start S] [--scratch DIR] [--corpus DIR]
 //               [--time-budget-ms MS] [--no-crash] [--no-shrink] [--list]
-//   fuzz_driver --repro PROFILE SEED SIZE
+//   fuzz_driver [--scratch DIR] --repro PROFILE SEED SIZE
 //
 // Every failure is reported as a (seed, profile, size) triple that
 // replays it exactly (--repro); the shrinker appends the minimized
@@ -38,7 +38,7 @@ int Usage() {
       "                   [--seed-start S] [--scratch DIR] [--corpus DIR]\n"
       "                   [--time-budget-ms MS] [--no-crash] [--no-shrink]\n"
       "                   [--list]\n"
-      "       fuzz_driver --repro PROFILE SEED SIZE\n");
+      "       fuzz_driver [--scratch DIR] --repro PROFILE SEED SIZE\n");
   return 2;
 }
 
@@ -64,8 +64,10 @@ int ListProfiles() {
   return 0;
 }
 
-int Reproduce(const std::string& profile, uint64_t seed, size_t size) {
-  const OracleReport report = ReproduceTrial(profile, seed, size);
+int Reproduce(const std::string& profile, uint64_t seed, size_t size,
+              const std::string& scratch_directory) {
+  const OracleReport report =
+      ReproduceTrial(profile, seed, size, OracleOptions{}, scratch_directory);
   std::printf("repro seed=%llu profile=%s size=%zu: %s\n",
               static_cast<unsigned long long>(seed), profile.c_str(), size,
               report.ToString().c_str());
@@ -85,7 +87,7 @@ int Run(int argc, char** argv) {
       const std::string profile = argv[i + 1];
       const uint64_t seed = std::strtoull(argv[i + 2], nullptr, 10);
       const size_t size = std::strtoull(argv[i + 3], nullptr, 10);
-      return Reproduce(profile, seed, size);
+      return Reproduce(profile, seed, size, options.scratch_directory);
     }
     const char* value = nullptr;
     if (arg == "--profiles" && (value = next())) {

@@ -491,9 +491,9 @@ int CmdBatch(const Args& args) {
 
 /// Reconstructs one version of one warehouse document from its
 /// persisted repository (§2 "Querying the past"): `URL` is looked up in
-/// the warehouse manifest written by `batch -o` (a raw subdirectory
-/// name is accepted too), the crash-safe store is recovered and loaded,
-/// and the requested version (default: newest) is written out.
+/// the warehouse written by `batch -o`, the crash-safe store is
+/// recovered and loaded, and the requested version (default: newest) is
+/// written out.
 int CmdCheckout(const Args& args) {
   if (args.positional().size() != 2) {
     std::fprintf(stderr,
@@ -504,31 +504,9 @@ int CmdCheckout(const Args& args) {
   const std::string& directory = args.positional()[0];
   const std::string& url = args.positional()[1];
 
-  // A crashed batch group commit may have left a journal; roll it
-  // forward (or discard a torn one) before trusting any slot.
-  if (Status s = RecoverRepositoryBatch(directory); !s.ok()) return Fail(s);
-
-  Result<std::string> manifest =
-      Env::Default()->ReadFile(directory + "/manifest.tsv");
-  if (!manifest.ok()) return Fail(manifest.status());
-  std::string subdirectory;
-  for (std::string_view line : SplitLines(*manifest)) {
-    const size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) continue;
-    if (line.substr(tab + 1) == url || line.substr(0, tab) == url) {
-      subdirectory = std::string(line.substr(0, tab));
-      break;
-    }
-  }
-  if (subdirectory.empty()) {
-    return Fail(Status::NotFound("no document '" + url +
-                                 "' in warehouse manifest " + directory +
-                                 "/manifest.tsv"));
-  }
-
   RecoveryReport report;
   Result<VersionRepository> repo =
-      LoadRepository(directory + "/" + subdirectory, nullptr, &report);
+      Warehouse::LoadDocument(directory, url, nullptr, &report);
   if (!repo.ok()) return Fail(repo.status());
   if (!report.clean) {
     std::fprintf(stderr, "recovery: %s\n", report.ToString().c_str());
