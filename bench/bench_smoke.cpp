@@ -1,7 +1,7 @@
 // Pipeline regression smoke gate — run as a ctest, not a benchmark.
 //
 // The DiffBatch pipeline exists to ADD value over a straight
-// diff loop (persistence, alerts, deferred index maintenance), so it
+// diff loop (persistence, alerts, change statistics), so it
 // must never again cost 3x the throughput (the regression this gate was
 // born from: 179 docs/s pipelined vs 540 straight-line). Both paths run
 // in this one process, interleaved trial by trial on the same corpus,

@@ -126,9 +126,10 @@ int main() {
     }
   }
   // --- Part 2: the warehouse's parallel ingest (per-document work is
-  // embarrassingly parallel; Figure 1's pipeline shards by document). ----
+  // embarrassingly parallel; Figure 1's pipeline shards by document).
+  // Nothing searches, so no full-text index is built or maintained. ----
   std::printf("\n--- warehouse batch ingest (diff pipeline + alerter +"
-              " stats + index) ---\n");
+              " stats) ---\n");
   std::printf("hardware concurrency: %u core(s) — thread scaling is only\n"
               "observable with more than one\n",
               std::thread::hardware_concurrency());
@@ -178,10 +179,9 @@ int main() {
   double single_thread_docs_per_s = 0;
   for (int threads : {1, 2, 4, 8}) {
     // Best-of-3, fresh warehouse per rep (a version pair can only be
-    // ingested once). No subscription: alerts are never deferred, so
-    // one would force node-index + alerter work per slot that the
-    // part-1 straight-line loop does not do. Part 2 measures the
-    // monitor-laden path; this sweep measures the pipeline itself.
+    // ingested once). No subscription, so each slot's monitor work is
+    // its node index and statistics; Part 2 adds the alerter. This
+    // sweep measures the pipeline itself.
     double batch_s = 0;
     PipelineStats stats;
     for (int rep = 0; rep < 3; ++rep) {

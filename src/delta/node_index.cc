@@ -1,6 +1,7 @@
 #include "delta/node_index.h"
 
 #include <algorithm>
+#include <bitset>
 
 namespace xydiff {
 
@@ -15,12 +16,17 @@ void Prepare(std::vector<Xid>* xids,
   for (Xid xid : *xids) entries->emplace_back(xid, nullptr);
 }
 
-/// One walk filling every wanted entry (binary search per node — the
-/// wanted set is tiny next to the document).
+/// One walk filling every wanted entry. The wanted set is tiny next to
+/// the document, so a fixed bitset over the XIDs' low bits screens out
+/// almost every node before the binary search.
 void Fill(const XmlDocument& doc,
           std::vector<std::pair<Xid, const XmlNode*>>* entries) {
   if (entries->empty() || doc.root() == nullptr) return;
-  doc.root()->Visit([entries](const XmlNode* n) {
+  constexpr Xid kScreenBits = 4096;
+  std::bitset<kScreenBits> screen;
+  for (const auto& entry : *entries) screen.set(entry.first % kScreenBits);
+  doc.root()->Visit([entries, &screen](const XmlNode* n) {
+    if (!screen.test(n->xid() % kScreenBits)) return;
     auto it = std::lower_bound(
         entries->begin(), entries->end(), n->xid(),
         [](const auto& entry, Xid xid) { return entry.first < xid; });

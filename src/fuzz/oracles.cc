@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "delta/delta_xml.h"
 #include "delta/invert.h"
 #include "delta/validate.h"
+#include "monitor/change_stats.h"
+#include "monitor/index.h"
 #include "version/repository.h"
 #include "version/warehouse.h"
 #include "xml/parser.h"
@@ -411,6 +414,11 @@ void CheckoutOracle(const XmlDocument& v1, const XmlDocument& v2,
 /// Every path must check out byte-identical versions with XIDs and
 /// report the reference's operation count per step; DiffBatch's
 /// delta_bytes must be the size of the reference delta's serialization.
+/// Monitor state too: a Search after each step, for every word of every
+/// version, must return FullTextIndex::Build of the reference's current
+/// version under each URL, and the statistics of (b)-(d) must be the
+/// reference's ChangeStatistics once per URL. (e) checks Search only:
+/// statistics are not saved.
 void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
                          const XmlDocument& v3,
                          const std::string& scratch_directory, Judge* judge) {
@@ -427,6 +435,9 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
   size_t ref_operations[kVersions] = {};
   size_t ref_delta_bytes[kVersions] = {};
   std::vector<std::string> ref_versions;
+  std::vector<FullTextIndex> ref_indexes;
+  ChangeStatistics ref_stats;
+  std::set<std::string> words, labels;
   {
     std::optional<VersionRepository> repo;
     for (int step = 0; step < kVersions; ++step) {
@@ -436,19 +447,47 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
         repo.emplace(std::move(*doc));
         continue;
       }
-      Result<int> version = repo->Commit(std::move(*doc));
+      XmlDocument old_version;
+      Result<int> version = repo->Commit(std::move(*doc), {}, &old_version);
       if (!version.ok()) return fail("reference", version.status().ToString());
       Result<const Delta*> delta = repo->DeltaFor(*version - 1);
       if (!delta.ok()) return fail("reference", delta.status().ToString());
       ref_operations[step] = (*delta)->operation_count();
       ref_delta_bytes[step] = SerializeDelta(**delta).size();
+      ref_stats.Accumulate(**delta, old_version, repo->current());
     }
     for (int version = 1; version <= kVersions; ++version) {
       Result<XmlDocument> doc = repo->Checkout(version);
       if (!doc.ok()) return fail("reference", doc.status().ToString());
       ref_versions.push_back(CanonicalWithXids(*doc));
+      ref_indexes.push_back(FullTextIndex::Build(*doc));
+      doc->root()->Visit([&](const XmlNode* node) {
+        if (node->is_element()) labels.emplace(node->label());
+        if (!node->is_text()) return;
+        for (std::string& word : FullTextIndex::Tokenize(node->text())) {
+          words.insert(std::move(word));
+        }
+      });
     }
   }
+  // Search for every word must return the reference index of `version`
+  // under each of the first `urls` URLs.
+  const auto search_agrees = [&](const Warehouse& warehouse, int urls,
+                                 int version) {
+    for (const std::string& word : words) {
+      std::vector<std::pair<std::string, Xid>> expected;
+      for (int u = 0; u < urls; ++u) {
+        for (Xid xid : ref_indexes[version - 1].Lookup(word)) {
+          expected.emplace_back("doc" + std::to_string(u), xid);
+        }
+      }
+      if (warehouse.Search(word) != expected) {
+        return "Search(\"" + word + "\") disagrees with the reference "
+               "index of version " + std::to_string(version);
+      }
+    }
+    return std::string();
+  };
 
   // (b), (c) and (d); 0 threads stands for Ingest.
   for (const int threads : {0, 1, 4}) {
@@ -489,6 +528,20 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
                                 std::to_string(ref_delta_bytes[step]));
         }
       }
+      // Between steps, so the next step's delta meets a built index.
+      if (std::string error = search_agrees(warehouse, urls, step + 1);
+          !error.empty()) {
+        return fail(path, where + error);
+      }
+    }
+    ChangeStatistics expected_stats;
+    for (int u = 0; u < urls; ++u) expected_stats.Merge(ref_stats);
+    for (const std::string& label : labels) {
+      if (warehouse.StatsForLabel(label) != expected_stats.ForLabel(label)) {
+        return fail(path, "statistics of <" + label +
+                              "> are not the reference's times " +
+                              std::to_string(urls));
+      }
     }
     // (e) The 4-thread warehouse again, after a round trip through its
     // store.
@@ -503,6 +556,10 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
       if (!loaded.ok()) return fail("Save+Load", loaded.status().ToString());
       if (!skipped.empty()) return fail("Save+Load", skipped.front());
       reloaded = std::move(*loaded);
+      if (std::string error = search_agrees(*reloaded, urls, kVersions);
+          !error.empty()) {
+        return fail("Save+Load", error);
+      }
     }
     for (const Warehouse* stored : {&warehouse, reloaded.get()}) {
       if (stored == nullptr) continue;

@@ -52,9 +52,11 @@ struct OracleReport {
 ///    chain, plus the configuration-differential oracle (always on): the
 ///    chain stored through VersionRepository::Commit, Warehouse::Ingest
 ///    and DiffBatch at 1 and 4 threads must agree on every version's
-///    XIDs and bytes, on each step's operation count and delta size.
+///    XIDs and bytes, on each step's operation count and delta size, on
+///    Search after each step, and on the change statistics.
 ///    With a `scratch_directory` (private to this trial), the 4-thread
-///    warehouse must also agree after Warehouse::Save there and Load.
+///    warehouse must also agree after Warehouse::Save there and Load
+///    (versions and Search; statistics are not saved).
 OracleReport CheckTrialOracles(const FuzzTrial& trial,
                                const OracleOptions& options = {},
                                const std::string& scratch_directory = {});

@@ -15,6 +15,19 @@ const XmlNode* OwningElement(const XmlNode* node) {
   return node;
 }
 
+/// Identity of a label's storage, not of its bytes: hashing a pointer
+/// is cheaper than hashing the label.
+struct StorageHash {
+  size_t operator()(std::string_view s) const {
+    return std::hash<const void*>{}(s.data()) ^ s.size();
+  }
+};
+struct SameStorage {
+  bool operator()(std::string_view a, std::string_view b) const {
+    return a.data() == b.data() && a.size() == b.size();
+  }
+};
+
 }  // namespace
 
 void ChangeStatistics::Accumulate(const Delta& delta,
@@ -43,9 +56,13 @@ void ChangeStatistics::Accumulate(const Delta& delta,
   // deleted elements of the old one, so every changed element is also
   // counted as occurring. Interned labels repeat heavily, so fold a local
   // histogram into the map once per distinct label instead of paying a
-  // map lookup per node.
+  // map lookup per node. The histogram is keyed by the label's storage:
+  // a parsed document stores each distinct label once, so hashing the
+  // pointer replaces hashing the bytes; equal labels stored apart are
+  // merged by the fold.
   if (new_version.root() != nullptr) {
-    std::unordered_map<std::string_view, size_t> histogram;
+    std::unordered_map<std::string_view, size_t, StorageHash, SameStorage>
+        histogram;
     new_version.root()->Visit([&](const XmlNode* n) {
       if (n->is_element()) ++histogram[n->label()];
     });

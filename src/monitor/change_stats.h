@@ -36,6 +36,8 @@ class ChangeStatistics {
     size_t text_updated = 0;  ///< A text child of this element changed.
     size_t attr_changed = 0;
 
+    bool operator==(const LabelStats&) const = default;
+
     size_t total_changes() const {
       return inserted + deleted + moved + text_updated + attr_changed;
     }

@@ -25,7 +25,6 @@ namespace {
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestMagic[] = "xydiff-manifest 2";
 constexpr char kQuarantineDir[] = "quarantine";
-constexpr char kBatchJournalName[] = "BATCH-COMMIT";
 constexpr char kBatchMagic[] = "xydiff-batch 1";
 
 std::string DeltaBinName(size_t index) {

@@ -100,6 +100,9 @@ struct RepositorySaveSlot {
   std::string subdirectory;
 };
 
+/// Name of the journal SaveRepositoryBatch writes into `parent`.
+inline constexpr char kBatchJournalName[] = "BATCH-COMMIT";
+
 /// Group-commits many repositories under `parent` with ONE durable
 /// commit point for the whole batch, instead of one MANIFEST rename +
 /// directory sync per repository. Protocol (see DESIGN.md "Group

@@ -171,14 +171,16 @@ Result<Warehouse::IngestReport> Warehouse::Ingest(const std::string& url,
         "warehouse degraded (persistent store IOError): ingest rejected, "
         "reads still served: " + url);
   }
-  return IngestInternal(url, std::move(document), /*defer_monitors=*/false);
+  return IngestInternal(url, std::move(document));
 }
 
 Result<Warehouse::IngestReport> Warehouse::IngestInternal(
-    const std::string& url, XmlDocument document, bool defer_monitors,
-    const Context* context) {
+    const std::string& url, XmlDocument document, const Context* context) {
   if (document.root() == nullptr) {
     return Status::InvalidArgument("cannot ingest an empty document: " + url);
+  }
+  if (url.find_first_of("\r\n") != std::string::npos) {
+    return Status::InvalidArgument("URL contains a line break: " + url);
   }
   IngestReport report;
   report.url = url;
@@ -191,12 +193,6 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   MutexLock doc_lock(doc->mutex);
   if (created || doc->repo == nullptr) {
     doc->repo = std::make_unique<VersionRepository>(std::move(document));
-    if (defer_monitors) {
-      doc->index_dirty = true;
-    } else {
-      doc->index = FullTextIndex::Build(doc->repo->current());
-      doc->index_dirty = false;
-    }
     report.version = 1;
     report.first_version = true;
     return report;
@@ -220,51 +216,27 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   if (!delta.ok()) return delta.status();
   report.operations = (*delta)->operation_count();
 
-  // Alerts are never deferred; with no subscriptions a deferred ingest
-  // is done here — index marked stale, statistics skipped (derived
-  // state, the contract Load() already has).
-  bool evaluate_alerts = true;
-  if (defer_monitors) {
-    ReaderMutexLock lock(alerter_mutex_);
-    evaluate_alerts = alerter_.subscription_count() > 0;
-    if (!evaluate_alerts) {
-      doc->index_dirty = true;
-      return report;
-    }
-  }
-
   // Resolve the delta's nodes once; index, alerter, and statistics all
   // consume the same DeltaNodeIndex instead of each rebuilding an O(n)
   // XID map over both versions.
   const DeltaNodeIndex nodes =
       DeltaNodeIndex::Build(**delta, old_version, doc->repo->current());
-
-  if (defer_monitors) {
-    doc->index_dirty = true;
-  } else if (doc->index_dirty) {
-    // A previous deferred batch left the index stale; incremental Apply
-    // would corrupt it. Rebuild from the (post-commit) current version.
-    doc->index = FullTextIndex::Build(doc->repo->current());
-    doc->index_dirty = false;
-  } else {
-    XYDIFF_RETURN_IF_ERROR(doc->index.Apply(**delta, nodes));
+  if (doc->index.has_value()) {
+    XYDIFF_RETURN_IF_ERROR(doc->index->Apply(**delta, nodes));
   }
 
   // Subscription evaluation: read-only on the alerter, so concurrent
   // ingests share the lock.
-  if (evaluate_alerts) {
+  {
     ReaderMutexLock lock(alerter_mutex_);
     report.alerts = alerter_.Evaluate(**delta, nodes);
   }
-  if (!defer_monitors) {
-    // Statistics: heavy work in a local collector, cheap merge under
-    // lock.
-    ChangeStatistics local;
-    local.Accumulate(**delta, doc->repo->current(), nodes);
-    {
-      MutexLock lock(stats_mutex_);
-      stats_.Merge(local);
-    }
+  // Statistics: heavy work in a local collector, cheap merge under lock.
+  ChangeStatistics local;
+  local.Accumulate(**delta, doc->repo->current(), nodes);
+  {
+    MutexLock lock(stats_mutex_);
+    stats_.Merge(local);
   }
   return report;
 }
@@ -454,7 +426,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       }
     }
     results[i] = IngestInternal(jobs[i].url, std::move(*doc),
-                                /*defer_monitors=*/true, pipeline.context);
+                                pipeline.context);
     if (!results[i].ok()) {
       diff_failed.fetch_add(1, std::memory_order_relaxed);
       const Status& status = results[i].status();
@@ -649,13 +621,12 @@ std::vector<std::pair<std::string, Xid>> Warehouse::Search(
   std::vector<std::pair<std::string, Xid>> hits;
   for (const auto& [url, doc] : SnapshotSlots()) {
     MutexLock doc_lock(doc->mutex);
-    if (doc->index_dirty && doc->repo != nullptr) {
-      // A deferred-monitor batch left this index stale; rebuild it once
-      // here — amortized, this is the same total work the batch skipped.
+    if (doc->repo == nullptr) continue;
+    // The first Search builds the index; ingests keep it current after.
+    if (!doc->index.has_value()) {
       doc->index = FullTextIndex::Build(doc->repo->current());
-      doc->index_dirty = false;
     }
-    for (Xid xid : doc->index.Lookup(word)) {
+    for (Xid xid : doc->index->Lookup(word)) {
       hits.emplace_back(url, xid);
     }
   }
@@ -674,11 +645,16 @@ std::string Warehouse::StatsReport(size_t limit) const {
 }
 
 std::string Warehouse::SanitizeUrl(const std::string& url) {
-  // Injective: a kept byte is never '_', so every '_' starts an escape.
+  // Injective: a kept byte is never '_', so every '_' starts an escape,
+  // and escaping one more byte of a reserved name keeps that true.
+  std::string_view base = url;
+  if (EndsWith(base, ".tmp")) base.remove_suffix(4);
+  const bool reserved = base == kManifestName || base == kBatchJournalName;
   std::string out;
   for (size_t i = 0; i < url.size(); ++i) {
     const unsigned char c = static_cast<unsigned char>(url[i]);
-    if (std::isalnum(c) || c == '-' || (c == '.' && i > 0)) {
+    if ((std::isalnum(c) || c == '-' || (c == '.' && i > 0)) &&
+        !(reserved && i == 0)) {
       out += static_cast<char>(c);
     } else {
       char escape[4];
@@ -776,7 +752,6 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Load(
     // contents are guarded members, so hold the lock anyway.
     MutexLock lock(slot->mutex);
     slot->repo = std::make_unique<VersionRepository>(std::move(*repo));
-    slot->index = FullTextIndex::Build(slot->repo->current());
   }
   return warehouse;
 }

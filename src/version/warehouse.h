@@ -192,10 +192,10 @@ class Warehouse {
   /// Diffs a batch of raw crawled documents. Up to `pipeline.threads`
   /// ParallelFor workers claim slots in input order, and each slot runs
   /// to completion on its worker: admission → parse into a pooled arena
-  /// → diff and chain append (alerts inline; index and statistics
-  /// deferred to the next Search, the contract Load() already has) →
-  /// account delta_bytes → park for group commit. At most `threads`
-  /// parsed documents are in memory at once.
+  /// → diff and chain append, feeding the alerter, the statistics and
+  /// (once a Search has built it) the full-text index exactly as
+  /// Ingest() does → account delta_bytes → park for group commit. At most
+  /// `threads` parsed documents are in memory at once.
   ///
   /// One malformed document fails only its own slot — the batch always
   /// completes. Reports come back in input order. When `stats` is
@@ -252,12 +252,14 @@ class Warehouse {
   /// length: after a crash, Load sees every document as of the previous
   /// save or every one as of this one.
   /// Subscriptions, statistics and the index are derived state and are
-  /// rebuilt on load. All I/O goes through `env` (nullptr means
+  /// not saved. All I/O goes through `env` (nullptr means
   /// Env::Default()).
   Status Save(const std::string& directory, Env* env = nullptr) const;
 
   /// Loads a warehouse persisted by Save. Subscriptions must be
-  /// re-registered by the caller; the full-text index is rebuilt.
+  /// re-registered by the caller; statistics start empty and count only
+  /// later ingests; a document's full-text index is built by the first
+  /// Search.
   /// A corrupt per-document repository does not kill the load: each
   /// repository self-heals where it can (quarantining corrupt tails —
   /// see LoadRepository), and one that is beyond recovery is skipped
@@ -279,11 +281,10 @@ class Warehouse {
     /// Serializes ingests of this one document.
     Mutex mutex;
     std::unique_ptr<VersionRepository> repo XY_GUARDED_BY(mutex);
-    FullTextIndex index XY_GUARDED_BY(mutex);
-    /// True when a deferred-monitor ingest left `index` stale; the next
-    /// reader (Search) or inline ingest rebuilds it from the current
-    /// version before use.
-    bool index_dirty XY_GUARDED_BY(mutex) = false;
+    /// Built from the current version by the first Search, then kept
+    /// current by applying every later delta. Empty until then, so a
+    /// warehouse that never searches never pays for an index.
+    std::optional<FullTextIndex> index XY_GUARDED_BY(mutex);
   };
 
   /// Per-URL circuit breaker state (deterministic, count-based — no
@@ -312,6 +313,8 @@ class Warehouse {
 
   /// A URL's directory name in a store: bytes in [A-Za-z0-9.-] are kept,
   /// any other byte (and a leading '.') becomes '_' plus two hex digits.
+  /// A name that would collide with a store-level file (`manifest.tsv`,
+  /// `BATCH-COMMIT`, or either with `.tmp`) has its first byte escaped.
   static std::string SanitizeUrl(const std::string& url);
 
   /// Group-commits the repositories of `urls` (distinct) under
@@ -324,13 +327,12 @@ class Warehouse {
                    const Context* context, const RetryPolicy& policy,
                    size_t* retries) const XY_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Ingest with the monitor-maintenance policy chosen by the caller:
-  /// `defer_monitors` marks the document's index stale (lazily rebuilt)
-  /// and skips statistics instead of updating both inline. Alert
-  /// evaluation is unconditional whenever subscriptions exist.
+  /// The one ingest body behind Ingest and DiffBatch: commits the
+  /// version, then feeds its delta to the alerter, the statistics and
+  /// the full-text index (when one has been built). A URL holding a line
+  /// break is rejected: the store's manifest is one line per document.
   Result<IngestReport> IngestInternal(const std::string& url,
                                       XmlDocument document,
-                                      bool defer_monitors,
                                       const Context* context = nullptr);
 
   /// Circuit-breaker admission check for `url`: true admits (closed

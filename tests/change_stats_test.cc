@@ -82,6 +82,25 @@ TEST(ChangeStatsTest, OccurrencesAccumulate) {
   EXPECT_EQ(stats.ForLabel("a").total_changes(), 0u);
 }
 
+TEST(ChangeStatsTest, OccurrencesMergeEqualLabelsStoredApart) {
+  // A parsed document stores each distinct label once; a built one
+  // stores every label on its own. The counts must not see the
+  // difference.
+  XmlDocument old_doc = MustParse("<r><a/><a/></r>");
+  old_doc.AssignInitialXids();
+  XmlDocument new_doc(XmlNode::Element("r"));
+  new_doc.root()->AppendChild(XmlNode::Element("a"));
+  new_doc.root()->AppendChild(XmlNode::Element("a"));
+  ASSERT_NE(new_doc.root()->child(0)->label().data(),
+            new_doc.root()->child(1)->label().data());
+  Result<Delta> delta = XyDiff(&old_doc, &new_doc);
+  ASSERT_TRUE(delta.ok());
+  ChangeStatistics stats;
+  stats.Accumulate(*delta, old_doc, new_doc);
+  EXPECT_EQ(stats.ForLabel("a").occurrences, 2u);
+  EXPECT_EQ(stats.ForLabel("r").occurrences, 1u);
+}
+
 TEST(ChangeStatsTest, MostVolatileRespectsMinOccurrences) {
   ChangeStatistics stats;
   Feed(&stats, "<r><rare>x</rare></r>", "<r><rare>y</rare></r>");

@@ -1,5 +1,6 @@
 #include "delta/delta.h"
 
+#include "delta/node_index.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -75,6 +76,33 @@ TEST(DeltaTest, MoveOpEquality) {
   MoveOp c{1, 2, 3, 4, 6};
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
+}
+
+// DeltaNodeIndex screens nodes by the low bits of their XIDs before the
+// exact lookup; nodes whose XIDs share those bits with a wanted one must
+// not resolve in its place.
+TEST(DeltaNodeIndexTest, ResolvesExactlyTheXidsTheDeltaNames) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 9000; ++i) xml += "<a/>";
+  xml += "</r>";
+  XmlDocument old_doc = MustParse(xml);
+  old_doc.AssignInitialXids();
+  XmlDocument new_doc = old_doc.Clone();
+  Delta delta;
+  delta.deletes().push_back(DeleteOp(7, old_doc.root()->xid(), 7, nullptr));
+  delta.moves().push_back(MoveOp{5000, old_doc.root()->xid(), 5000,
+                                 old_doc.root()->xid(), 1});
+  const DeltaNodeIndex nodes = DeltaNodeIndex::Build(delta, old_doc, new_doc);
+  ASSERT_NE(nodes.old_node(7), nullptr);
+  EXPECT_EQ(nodes.old_node(7)->xid(), 7u);
+  ASSERT_NE(nodes.new_node(5000), nullptr);
+  EXPECT_EQ(nodes.new_node(5000)->xid(), 5000u);
+  for (Xid other : {Xid{7 + 4096}, Xid{5000 - 4096}, Xid{5000 + 4096}}) {
+    EXPECT_EQ(nodes.old_node(other), nullptr) << other;
+    EXPECT_EQ(nodes.new_node(other), nullptr) << other;
+  }
+  EXPECT_EQ(nodes.old_node(5000), nullptr);  // Moves name new-side nodes.
+  EXPECT_EQ(nodes.new_node(7), nullptr);     // Deletes name old-side ones.
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "delta/delta_xml.h"
 #include "gtest/gtest.h"
+#include "monitor/index.h"
 #include "simulator/change_simulator.h"
 #include "simulator/doc_generator.h"
 #include "tests/test_util.h"
@@ -376,50 +378,58 @@ TEST(ParallelPipelineTest, PooledArenasMatchFreshArenasByteForByte) {
       << "arena recycling changed an observable outcome";
 }
 
-// DiffBatch defers index maintenance to the next Search; that must change
-// WHEN the index is built, never what it answers: a Search after a
-// DiffBatch (lazy rebuild) must equal a Search after Ingest() of freshly
-// parsed documents (index maintained inline).
-TEST(ParallelPipelineTest, DeferredMonitorsAnswerSearchesIdentically) {
+// The first Search builds each document's index; every later delta is
+// applied to it on the slot that made the delta. An index that a
+// DiffBatch updated by FullTextIndex::Apply must answer exactly like one
+// built from the current version, and like Ingest() of freshly parsed
+// documents.
+TEST(ParallelPipelineTest, BatchAppliedIndexAnswersSearchesLikeAFreshBuild) {
   Corpus corpus = MakeCorpus(30, 3000);
-
-  Warehouse inline_wh;
+  // Probe with every token of both weeks, so words a delta removed are
+  // asked for too, plus one miss.
+  std::set<std::string> words = {"zzz-not-a-word"};
   for (const auto* week : {&corpus.week1, &corpus.week2}) {
+    for (const auto& job : *week) {
+      for (std::string& word : FullTextIndex::Tokenize(job.xml)) {
+        words.insert(std::move(word));
+      }
+    }
+  }
+  const auto search_all = [&words](const Warehouse& warehouse) {
+    std::map<std::string, std::vector<std::pair<std::string, Xid>>> hits;
+    for (const std::string& word : words) hits[word] = warehouse.Search(word);
+    return hits;
+  };
+
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  Warehouse applied_wh;  // Searched between the weeks.
+  Warehouse fresh_wh;    // Searched only at the end.
+  Warehouse inline_wh;   // Ingest() instead of DiffBatch.
+  for (const auto* week : {&corpus.week1, &corpus.week2}) {
+    for (Warehouse* warehouse : {&applied_wh, &fresh_wh}) {
+      for (const auto& r : warehouse->DiffBatch(*week, pipeline)) {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      }
+    }
     for (const auto& job : *week) {
       Result<XmlDocument> doc = ParseXml(job.xml);
       ASSERT_TRUE(doc.ok()) << doc.status().ToString();
       auto report = inline_wh.Ingest(job.url, std::move(*doc));
       ASSERT_TRUE(report.ok()) << report.status().ToString();
     }
+    if (week == &corpus.week1) search_all(applied_wh);  // Builds the index.
   }
-  Warehouse deferred_wh;
-  Warehouse::PipelineOptions pipeline;
-  pipeline.threads = 2;
-  for (const auto* week : {&corpus.week1, &corpus.week2}) {
-    for (const auto& r : deferred_wh.DiffBatch(*week, pipeline)) {
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-    }
-  }
-  // Probe with words that appear in generated documents plus one miss.
-  for (const char* word : {"the", "item", "price", "zzz-not-a-word"}) {
-    auto expected = inline_wh.Search(word);
-    auto actual = deferred_wh.Search(word);
-    EXPECT_EQ(expected, actual) << "Search(\"" << word << "\") diverged";
-  }
-  // A later inline ingest over a stale index must rebuild, not corrupt:
-  // re-ingest week2 via Ingest (inline monitors) on the deferred
-  // warehouse and re-check.
-  for (const auto& job : corpus.week2) {
-    Result<XmlDocument> doc = ParseXml(job.xml);
-    ASSERT_TRUE(doc.ok());
-    auto report = deferred_wh.Ingest(job.url, std::move(*doc));
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-  }
-  for (const char* word : {"the", "item", "price"}) {
-    // An identical re-ingest is a no-op delta: the rebuilt-then-applied
-    // index must still answer exactly like the always-inline warehouse.
-    EXPECT_EQ(deferred_wh.Search(word), inline_wh.Search(word)) << word;
-  }
+  const auto applied = search_all(applied_wh);
+  EXPECT_TRUE(applied == search_all(fresh_wh))
+      << "an applied index diverged from a fresh build";
+  EXPECT_TRUE(applied == search_all(inline_wh))
+      << "DiffBatch and Ingest answer Search differently";
+  EXPECT_GT(std::count_if(applied.begin(), applied.end(),
+                          [](const auto& entry) {
+                            return !entry.second.empty();
+                          }),
+            0);
 }
 
 }  // namespace

@@ -59,6 +59,9 @@ grep -q "doc-a: v2" batch_out.txt
 grep -q "doc-b: v2" batch_out.txt
 grep -q "$URL: v2" batch_out.txt
 grep -q "parse" batch_stats.txt
+# DiffBatch feeds the change statistics: 3 deltas, <price> among the labels.
+grep -q "change statistics over 3 delta(s)" batch_stats.txt
+grep -q "^price " batch_stats.txt
 [ -d warehouse ] || { echo "warehouse directory not saved"; exit 1; }
 # A malformed member fails its slot, not the batch.
 printf '<broken' > bad.xml

@@ -48,6 +48,28 @@ TEST(WarehouseTest, SecondIngestRunsThePipeline) {
   EXPECT_EQ(warehouse.StatsForLabel("price").text_updated, 1u);
 }
 
+// Every path feeds the statistics: a re-crawl handed to DiffBatch counts
+// exactly like the same re-crawl through Ingest.
+TEST(WarehouseTest, DiffBatchFeedsStatisticsLikeIngest) {
+  const std::string before = "<doc><price>10</price></doc>";
+  const std::string after = "<doc><price>12</price></doc>";
+  Warehouse ingested;
+  ASSERT_TRUE(ingested.Ingest("http://a", MustParse(before)).ok());
+  ASSERT_TRUE(ingested.Ingest("http://a", MustParse(after)).ok());
+  Warehouse batched;
+  for (const std::string& xml : {before, after}) {
+    for (const auto& r : batched.DiffBatch({{"http://a", xml}})) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  }
+  EXPECT_EQ(batched.StatsForLabel("price").text_updated, 1u);
+  for (const char* label : {"doc", "price"}) {
+    EXPECT_TRUE(batched.StatsForLabel(label) == ingested.StatsForLabel(label))
+        << label;
+  }
+  EXPECT_EQ(batched.StatsReport(), ingested.StatsReport());
+}
+
 TEST(WarehouseTest, CheckoutHistoricalVersions) {
   Warehouse warehouse;
   ASSERT_TRUE(warehouse.Ingest("u", MustParse("<d><t>v1</t></d>")).ok());
@@ -182,7 +204,7 @@ TEST(WarehouseTest, SaveAndLoadRoundTrip) {
   Result<XmlDocument> v1 = (*loaded)->Checkout("http://x/a", 1);
   ASSERT_TRUE(v1.ok());
   EXPECT_EQ(v1->root()->child(0)->child(0)->text(), "alpha one");
-  // The rebuilt index works.
+  // The first Search builds the index from the loaded versions.
   EXPECT_EQ((*loaded)->Search("beta").size(), 1u);
   fs::remove_all(dir);
 }
@@ -350,6 +372,61 @@ TEST(WarehouseTest, UrlsDifferingInEscapedBytesKeepTheirOwnRepository) {
         << url;
   }
   fs::remove_all(dir);
+}
+
+// Regression: a URL equal to a store-level file name got that name as its
+// directory, so a URL "BATCH-COMMIT" took the journal's place and every
+// group commit failed, and a URL "manifest.tsv" took the document list's.
+TEST(WarehouseTest, UrlsNamedLikeStoreFilesKeepTheirOwnRepository) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xydiff_reserved_names_test_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::vector<std::string> urls = {"manifest.tsv", "BATCH-COMMIT",
+                                         "manifest.tsv.tmp",
+                                         "BATCH-COMMIT.tmp"};
+  Warehouse warehouse;
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  pipeline.save_directory = dir.string();
+  for (const char* week : {"one", "two"}) {
+    std::vector<Warehouse::DiffJob> jobs;
+    for (const std::string& url : urls) {
+      jobs.push_back({url, "<d><t>" + url + " week " + week + "</t></d>"});
+    }
+    for (const auto& r : warehouse.DiffBatch(std::move(jobs), pipeline)) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r->store_degraded) << r->url;
+    }
+  }
+  XY_ASSERT_OK(warehouse.Save(dir.string()));
+  std::vector<std::string> skipped;
+  Result<std::unique_ptr<Warehouse>> loaded =
+      Warehouse::Load(dir.string(), DiffOptions{}, &skipped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(skipped.empty()) << skipped.front();
+  ASSERT_EQ((*loaded)->document_count(), urls.size());
+  for (const std::string& url : urls) {
+    ASSERT_EQ((*loaded)->version_count(url), 2) << url;
+    Result<XmlDocument> doc = (*loaded)->Checkout(url, 2);
+    ASSERT_TRUE(doc.ok()) << url << ": " << doc.status().ToString();
+    EXPECT_EQ(doc->root()->child(0)->child(0)->text(), url + " week two");
+  }
+  fs::remove_all(dir);
+}
+
+// Save writes one manifest line per document, so a URL with a line break
+// is refused on every ingest path before it reaches the warehouse.
+TEST(WarehouseTest, UrlWithLineBreakRejected) {
+  Warehouse warehouse;
+  for (const std::string url : {"http://a/\nb", "http://a/\rb"}) {
+    EXPECT_EQ(warehouse.Ingest(url, MustParse("<d/>")).status().code(),
+              StatusCode::kInvalidArgument);
+    const auto results = warehouse.DiffBatch({{url, "<d/>"}});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(warehouse.document_count(), 0u);
 }
 
 TEST(WarehouseTest, EmptyDocumentRejected) {

@@ -313,7 +313,8 @@ int CmdExplain(const Args& args) {
 
 /// The parallel warehouse driver: diffs many old/new file pairs through
 /// Warehouse::DiffBatch, each pair parsed, diffed and stored start to
-/// finish on one of `--threads` workers.
+/// finish on one of `--threads` workers. `--stats` prints the per-stage
+/// counters and the per-label change statistics of the run to stderr.
 /// The manifest has one `OLD.xml<TAB>NEW.xml[<TAB>URL]` line per
 /// document; URL defaults to the old path. With -o the warehouse (delta
 /// chains and all) is persisted for later querying.
@@ -472,6 +473,7 @@ int CmdBatch(const Args& args) {
   }
   if (args.Has("--stats")) {
     std::fputs(stats.ToString().c_str(), stderr);
+    std::fputs(warehouse.StatsReport().c_str(), stderr);
   }
   if (auto out = args.Get("-o")) {
     if (Status s = warehouse.Save(*out); !s.ok()) return Fail(s);
