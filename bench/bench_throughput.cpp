@@ -173,9 +173,6 @@ int main() {
   parallel_report.AddString("bench", "parallel_pipeline");
   parallel_report.AddNumber("documents", static_cast<double>(pairs.size()));
   parallel_report.AddNumber("xml_bytes", static_cast<double>(total_bytes));
-  parallel_report.AddNumber(
-      "hardware_concurrency",
-      static_cast<double>(std::thread::hardware_concurrency()));
   double single_thread_docs_per_s = 0;
   for (int threads : {1, 2, 4, 8}) {
     // Best-of-3, fresh warehouse per rep (a version pair can only be

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace xydiff::bench {
@@ -100,12 +101,21 @@ class JsonReport {
     return out;
   }
 
-  /// Writes the report to `path` (single line + newline). Returns false
-  /// on I/O failure.
+  /// Writes the report to `path` (single line + newline), stamped with
+  /// the machine and build that produced it: `hardware_concurrency`,
+  /// `compiler`, `build_type` and `git_commit` (the XYDIFF_BENCH_* macros
+  /// bench/CMakeLists.txt sets at configure time). Returns false on I/O
+  /// failure.
   bool WriteFile(const std::string& path) const {
+    JsonReport stamped = *this;
+    stamped.AddNumber("hardware_concurrency",
+                      static_cast<double>(std::thread::hardware_concurrency()));
+    stamped.AddString("compiler", XYDIFF_BENCH_COMPILER);
+    stamped.AddString("build_type", XYDIFF_BENCH_BUILD_TYPE);
+    stamped.AddString("git_commit", XYDIFF_BENCH_GIT_COMMIT);
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
-    const std::string text = Dump() + "\n";
+    const std::string text = stamped.Dump() + "\n";
     const size_t written = std::fwrite(text.data(), 1, text.size(), f);
     return std::fclose(f) == 0 && written == text.size();
   }

@@ -66,6 +66,7 @@ class Buld {
     DeadlineChecker checkpoint(options_.context);
     CandidateIndex index(&t1_);
     index_ = &index;
+    const auto t_index = Clock::now();
     NodeQueue queue(&t2_);
     queue.Push(0);
     while (!queue.empty()) {
@@ -113,6 +114,7 @@ class Buld {
       stats->phase2_seconds = Seconds(t_start, t_phase2);
       stats->phase1_seconds = Seconds(t_phase2, t_phase1);
       stats->phase3_seconds = Seconds(t_phase1, t_phase3);
+      stats->candidate_index_seconds = Seconds(t_phase1, t_index);
       stats->phase4_seconds = Seconds(t_phase3, t_phase4);
       stats->phase5_seconds = Seconds(t_phase4, t_phase5);
       stats->nodes_old = static_cast<size_t>(t1_.size());
@@ -145,7 +147,7 @@ class Buld {
   /// candidate outright.
   NodeIndex FindBestCandidate(NodeIndex v2) {
     const Signature sig = t2_.signature(v2);
-    const std::vector<NodeIndex>* candidates = index_->Find(sig);
+    const CandidateIndex::Run* candidates = index_->Find(sig);
     if (candidates == nullptr) return kInvalidNode;
 
     const double n =

@@ -2,30 +2,26 @@
 
 namespace xydiff {
 
-CandidateIndex::CandidateIndex(const DiffTree* old_tree) : tree_(old_tree) {
-  const NodeIndex n = old_tree->size();
-  primary_.reserve(static_cast<size_t>(n));
-  by_parent_.reserve(static_cast<size_t>(n));
-  for (NodeIndex i = 0; i < n; ++i) {
-    primary_[old_tree->signature(i)].push_back(i);
-    const NodeIndex p = old_tree->parent(i);
-    if (p != kInvalidNode) {
-      by_parent_[ParentKey(old_tree->signature(i), p)].push_back(i);
-    }
-  }
-}
-
-const std::vector<NodeIndex>* CandidateIndex::Find(Signature sig) const {
-  auto it = primary_.find(sig);
-  return it == primary_.end() ? nullptr : &it->second;
-}
+CandidateIndex::CandidateIndex(const DiffTree* old_tree)
+    : tree_(old_tree),
+      by_signature_(old_tree->size(),
+                    [old_tree](NodeIndex i, uint64_t* key) {
+                      *key = old_tree->signature(i);
+                      return true;
+                    }),
+      by_parent_(old_tree->size(), [old_tree](NodeIndex i, uint64_t* key) {
+        const NodeIndex p = old_tree->parent(i);
+        if (p == kInvalidNode) return false;
+        *key = ParentKey(old_tree->signature(i), p);
+        return true;
+      }) {}
 
 NodeIndex CandidateIndex::FindUnmatchedWithParent(
     Signature sig, NodeIndex parent, int32_t preferred_position) const {
-  auto it = by_parent_.find(ParentKey(sig, parent));
-  if (it == by_parent_.end()) return kInvalidNode;
+  const Run* run = by_parent_.Find(ParentKey(sig, parent));
+  if (run == nullptr) return kInvalidNode;
   NodeIndex first = kInvalidNode;
-  for (NodeIndex c : it->second) {
+  for (NodeIndex c : *run) {
     // Guard against (unlikely) 64-bit key collisions and skip matched or
     // locked candidates.
     if (tree_->signature(c) != sig || tree_->parent(c) != parent ||

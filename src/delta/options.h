@@ -75,6 +75,8 @@ struct DiffStats {
   double phase1_seconds = 0;   ///< ID-attribute matching.
   double phase2_seconds = 0;   ///< Signatures, weights, queue setup.
   double phase3_seconds = 0;   ///< BULD matching loop.
+  /// Part of phase3_seconds: building the candidate indexes (§5.3).
+  double candidate_index_seconds = 0;
   double phase4_seconds = 0;   ///< Peephole propagation.
   double phase5_seconds = 0;   ///< Delta construction.
 

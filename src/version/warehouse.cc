@@ -25,6 +25,10 @@ namespace {
 /// document, written by Save.
 constexpr char kManifestName[] = "manifest.tsv";
 
+/// File systems cap one path component at 255 bytes (NAME_MAX). A URL's
+/// store directory name must fit with room for a ".tmp" suffix.
+constexpr size_t kMaxStoreNameBytes = 255 - (sizeof(".tmp") - 1);
+
 /// One document of a store: its repository directory and its URL.
 struct StoredDocument {
   std::string path;
@@ -181,6 +185,10 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   }
   if (url.find_first_of("\r\n") != std::string::npos) {
     return Status::InvalidArgument("URL contains a line break: " + url);
+  }
+  if (SanitizeUrl(url).size() > kMaxStoreNameBytes) {
+    return Status::InvalidArgument(
+        "URL too long for a store directory name: " + url);
   }
   IngestReport report;
   report.url = url;

@@ -178,7 +178,10 @@ class Warehouse {
                    std::string detail_contains = {});
 
   /// Ingests a crawled version of `url`: first sight stores it as
-  /// version 1; later sights run the diff pipeline.
+  /// version 1; later sights run the diff pipeline. Every ingest path
+  /// refuses with InvalidArgument, before creating any state, a URL with
+  /// a line break (one manifest line per document) or one whose store
+  /// directory name, with a ".tmp" suffix, would pass 255 bytes.
   Result<IngestReport> Ingest(const std::string& url, XmlDocument document);
 
   /// Ingests many pre-parsed documents concurrently on up to `threads`

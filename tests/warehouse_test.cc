@@ -429,6 +429,57 @@ TEST(WarehouseTest, UrlWithLineBreakRejected) {
   EXPECT_EQ(warehouse.document_count(), 0u);
 }
 
+// A URL's store directory is one path component, and file systems cap a
+// component at 255 bytes. Escaping writes 3 bytes per escaped URL byte,
+// so a URL whose escaped name (or its ".tmp" form) is longer is refused
+// before it reaches the warehouse; the rest of its group still commits.
+TEST(WarehouseTest, UrlWithTooLongStoreNameRejected) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xydiff_long_url_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  std::string escaped = "http://example.com/";
+  for (int i = 0; i < 100; ++i) escaped += "a/";
+  ASSERT_EQ(escaped.size(), 219u);
+  // Letters are kept as they are: 251 of them plus ".tmp" is exactly 255.
+  const std::string longest(251, 'a');
+  const std::string too_long(252, 'a');
+
+  Warehouse warehouse;
+  for (const std::string& url : {escaped, too_long}) {
+    EXPECT_EQ(warehouse.Ingest(url, MustParse("<d/>")).status().code(),
+              StatusCode::kInvalidArgument)
+        << url;
+  }
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  pipeline.save_directory = dir.string();
+  for (const char* week : {"one", "two"}) {
+    const std::string body = std::string("<d><t>week ") + week + "</t></d>";
+    const auto results = warehouse.DiffBatch(
+        {{escaped, body}, {"short", body}, {longest, body}}, pipeline);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].status().code(), StatusCode::kInvalidArgument);
+    for (size_t i = 1; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      EXPECT_FALSE(results[i]->store_degraded) << results[i]->url;
+    }
+  }
+  EXPECT_EQ(warehouse.document_count(), 2u);
+  XY_ASSERT_OK(warehouse.Save(dir.string()));
+  std::vector<std::string> skipped;
+  Result<std::unique_ptr<Warehouse>> loaded =
+      Warehouse::Load(dir.string(), DiffOptions{}, &skipped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(skipped.empty());
+  for (const std::string& url : {std::string("short"), longest}) {
+    ASSERT_EQ((*loaded)->version_count(url), 2) << url;
+    Result<XmlDocument> doc = (*loaded)->Checkout(url, 2);
+    ASSERT_TRUE(doc.ok()) << url << ": " << doc.status().ToString();
+    EXPECT_EQ(doc->root()->child(0)->child(0)->text(), "week two");
+  }
+  fs::remove_all(dir);
+}
+
 TEST(WarehouseTest, EmptyDocumentRejected) {
   Warehouse warehouse;
   EXPECT_EQ(warehouse.Ingest("u", XmlDocument()).status().code(),
