@@ -59,8 +59,8 @@ Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
 /// piecewise applicator of monotone's xdelta: one working document is
 /// threaded through the whole path instead of materializing every
 /// intermediate version as its own tree. Used by the version store's
-/// reconstruction (version/repository.h), whose checkpoint + skip-delta
-/// plan is exactly such a path, by its recovery-time chain replay, by
+/// Checkout (version/repository.h), whose backward replay is exactly
+/// such a path of inverse hops, by its recovery-time chain replay, by
 /// ComposeDeltas, and (as a one-hop path) by ApplyDelta itself.
 ///
 /// The XID -> node index that every application needs is state of the

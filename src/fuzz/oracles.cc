@@ -197,7 +197,7 @@ void RoundtripOracle(const XmlDocument& doc, const char* which, Judge* judge) {
 /// same document, double inversion is structurally identical, and the
 /// binary codec round-trips the delta byte-exactly.
 void InvertAndCodecOracles(const XmlDocument& base, const XmlDocument& changed,
-                           const OracleOptions& options, Judge* judge) {
+                           Judge* judge) {
   XmlDocument old_doc = base.Clone();
   XmlDocument new_doc = changed.Clone();
   Result<Delta> delta = XyDiff(&old_doc, &new_doc, DiffOptions{});
@@ -206,72 +206,68 @@ void InvertAndCodecOracles(const XmlDocument& base, const XmlDocument& changed,
     return;
   }
 
-  if (options.check_invert) {
-    judge->Ran();
-    if (Status s = ValidateDelta(*delta); !s.ok()) {
-      judge->Fail("invert", "BULD delta fails validation: " + s.ToString());
-      return;
-    }
-    XmlDocument working = base.Clone();
-    if (Status s = ApplyDelta(*delta, &working); !s.ok()) {
-      judge->Fail("invert", "forward apply failed: " + s.ToString());
-      return;
-    }
-    // ApplyDeltaInverse reads `d` in place; the materialized inverse is
-    // its oracle.
-    XmlDocument in_place = working.Clone();
-    const Delta inverse = InvertDelta(*delta);
-    if (Status s = ApplyDelta(inverse, &working); !s.ok()) {
-      judge->Fail("invert", "inverse apply failed: " + s.ToString());
-      return;
-    }
-    if (CanonicalWithXids(working) != CanonicalWithXids(base)) {
-      judge->Fail("invert",
-                  "Invert(d) ∘ d is not the identity (source not restored)");
-      return;
-    }
-    if (Status s = ApplyDeltaInverse(*delta, &in_place); !s.ok()) {
-      judge->Fail("invert", "in-place inverse apply failed: " + s.ToString());
-      return;
-    }
-    if (CanonicalWithXids(in_place) != CanonicalWithXids(working) ||
-        in_place.next_xid() != working.next_xid()) {
-      judge->Fail("invert",
-                  "in-place inverse differs from the materialized inverse");
-      return;
-    }
-    if (SerializeDelta(InvertDelta(inverse)) != SerializeDelta(*delta)) {
-      judge->Fail("invert", "Invert(Invert(d)) differs from d");
-      return;
-    }
+  judge->Ran();
+  if (Status s = ValidateDelta(*delta); !s.ok()) {
+    judge->Fail("invert", "BULD delta fails validation: " + s.ToString());
+    return;
+  }
+  XmlDocument working = base.Clone();
+  if (Status s = ApplyDelta(*delta, &working); !s.ok()) {
+    judge->Fail("invert", "forward apply failed: " + s.ToString());
+    return;
+  }
+  // ApplyDeltaInverse reads `d` in place; the materialized inverse is
+  // its oracle.
+  XmlDocument in_place = working.Clone();
+  const Delta inverse = InvertDelta(*delta);
+  if (Status s = ApplyDelta(inverse, &working); !s.ok()) {
+    judge->Fail("invert", "inverse apply failed: " + s.ToString());
+    return;
+  }
+  if (CanonicalWithXids(working) != CanonicalWithXids(base)) {
+    judge->Fail("invert",
+                "Invert(d) ∘ d is not the identity (source not restored)");
+    return;
+  }
+  if (Status s = ApplyDeltaInverse(*delta, &in_place); !s.ok()) {
+    judge->Fail("invert", "in-place inverse apply failed: " + s.ToString());
+    return;
+  }
+  if (CanonicalWithXids(in_place) != CanonicalWithXids(working) ||
+      in_place.next_xid() != working.next_xid()) {
+    judge->Fail("invert",
+                "in-place inverse differs from the materialized inverse");
+    return;
+  }
+  if (SerializeDelta(InvertDelta(inverse)) != SerializeDelta(*delta)) {
+    judge->Fail("invert", "Invert(Invert(d)) differs from d");
+    return;
   }
 
-  if (options.check_codec) {
-    judge->Ran();
-    const std::string xml_form = SerializeDelta(*delta);
-    const std::string encoded = EncodeDeltaBinary(*delta);
-    Result<Delta> decoded = DecodeDeltaBinary(encoded);
-    if (!decoded.ok()) {
-      judge->Fail("codec",
-                  "encoded delta does not decode: " + decoded.status().ToString());
-      return;
-    }
-    if (SerializeDelta(*decoded) != xml_form) {
-      judge->Fail("codec", "decode(encode(d)) changes the delta");
-      return;
-    }
-    if (EncodeDeltaBinary(*decoded) != encoded) {
-      judge->Fail("codec", "re-encoding the decoded delta changes the bytes");
-      return;
-    }
-    XmlDocument patched = base.Clone();
-    if (Status s = ApplyDelta(*decoded, &patched); !s.ok()) {
-      judge->Fail("codec", "decoded delta does not apply: " + s.ToString());
-      return;
-    }
-    if (Canonical(patched) != Canonical(changed)) {
-      judge->Fail("codec", "decoded delta patches to different bytes");
-    }
+  judge->Ran();
+  const std::string xml_form = SerializeDelta(*delta);
+  const std::string encoded = EncodeDeltaBinary(*delta);
+  Result<Delta> decoded = DecodeDeltaBinary(encoded);
+  if (!decoded.ok()) {
+    judge->Fail("codec",
+                "encoded delta does not decode: " + decoded.status().ToString());
+    return;
+  }
+  if (SerializeDelta(*decoded) != xml_form) {
+    judge->Fail("codec", "decode(encode(d)) changes the delta");
+    return;
+  }
+  if (EncodeDeltaBinary(*decoded) != encoded) {
+    judge->Fail("codec", "re-encoding the decoded delta changes the bytes");
+    return;
+  }
+  XmlDocument patched = base.Clone();
+  if (Status s = ApplyDelta(*decoded, &patched); !s.ok()) {
+    judge->Fail("codec", "decoded delta does not apply: " + s.ToString());
+    return;
+  }
+  if (Canonical(patched) != Canonical(changed)) {
+    judge->Fail("codec", "decoded delta patches to different bytes");
   }
 }
 
@@ -359,44 +355,35 @@ void ComposeOracle(const XmlDocument& v1, const XmlDocument& v2,
   }
 }
 
-/// Indexed (checkpoint + skip-delta) and replay Checkout must agree on
-/// every version, byte-exactly with XIDs.
+/// Checkout of every version must reproduce, byte-exactly with XIDs,
+/// the current version recorded right after that version was committed
+/// — the backward replay against what the repository actually held.
 void CheckoutOracle(const XmlDocument& v1, const XmlDocument& v2,
                     const XmlDocument& v3, Judge* judge) {
   judge->Ran();
-  VersionRepository replay(v1.Clone());
-  VersionRepository indexed(v1.Clone());
+  VersionRepository repo(v1.Clone());
+  std::vector<std::string> committed = {CanonicalWithXids(repo.current())};
   for (const XmlDocument* version : {&v2, &v3}) {
-    Result<int> r = replay.Commit(version->Clone());
-    Result<int> i = indexed.Commit(version->Clone());
-    if (!r.ok() || !i.ok()) {
-      judge->Fail("checkout", "commit failed: " +
-                                  (r.ok() ? i.status() : r.status()).ToString());
+    Result<int> r = repo.Commit(version->Clone());
+    if (!r.ok()) {
+      judge->Fail("checkout", "commit failed: " + r.status().ToString());
       return;
     }
+    committed.push_back(CanonicalWithXids(repo.current()));
   }
-  if (Status s = indexed.EnsureReconstructionIndex(); !s.ok()) {
-    judge->Fail("checkout",
-                "EnsureReconstructionIndex failed: " + s.ToString());
-    return;
-  }
-  for (int version = 1; version <= replay.version_count(); ++version) {
-    CheckoutStats replay_stats, indexed_stats;
-    Result<XmlDocument> via_replay = replay.Checkout(version, &replay_stats);
-    Result<XmlDocument> via_index = indexed.Checkout(version, &indexed_stats);
-    if (!via_replay.ok() || !via_index.ok()) {
-      judge->Fail("checkout",
-                  "checkout of version " + std::to_string(version) +
-                      " failed: " +
-                      (via_replay.ok() ? via_index.status()
-                                       : via_replay.status())
-                          .ToString());
+  for (int version = 1; version <= repo.version_count(); ++version) {
+    Result<XmlDocument> doc = repo.Checkout(version);
+    if (!doc.ok()) {
+      judge->Fail("checkout", "checkout of version " +
+                                  std::to_string(version) +
+                                  " failed: " + doc.status().ToString());
       return;
     }
-    if (CanonicalWithXids(*via_replay) != CanonicalWithXids(*via_index)) {
-      judge->Fail("checkout", "indexed and replay checkout disagree on "
-                              "version " +
-                                  std::to_string(version));
+    if (CanonicalWithXids(*doc) !=
+        committed[static_cast<size_t>(version) - 1]) {
+      judge->Fail("checkout", "checkout of version " +
+                                  std::to_string(version) +
+                                  " differs from the committed version");
       return;
     }
   }
@@ -599,19 +586,15 @@ OracleReport CheckPairOracles(const XmlDocument& base,
     judge.Fail("input", "document without a root handed to the oracles");
     return judge.Take();
   }
-  if (options.check_differential) DifferentialOracle(base, changed, &judge);
+  DifferentialOracle(base, changed, &judge);
   if (options.check_distance &&
       NodeCount(base) <= options.distance_node_limit &&
       NodeCount(changed) <= options.distance_node_limit) {
     DistanceOracle(base, changed, &judge);
   }
-  if (options.check_roundtrip) {
-    RoundtripOracle(base, "base", &judge);
-    RoundtripOracle(changed, "changed", &judge);
-  }
-  if (options.check_invert || options.check_codec) {
-    InvertAndCodecOracles(base, changed, options, &judge);
-  }
+  RoundtripOracle(base, "base", &judge);
+  RoundtripOracle(changed, "changed", &judge);
+  InvertAndCodecOracles(base, changed, &judge);
   return judge.Take();
 }
 
@@ -633,12 +616,8 @@ OracleReport CheckTrialOracles(const FuzzTrial& trial,
   OracleReport report = CheckPairOracles(*trial.v1, *trial.v2, options);
   Judge judge;
   if (trial.has_versions()) {
-    if (options.check_compose) {
-      ComposeOracle(*trial.v1, *trial.v2, *trial.v3, &judge);
-    }
-    if (options.check_checkout) {
-      CheckoutOracle(*trial.v1, *trial.v2, *trial.v3, &judge);
-    }
+    ComposeOracle(*trial.v1, *trial.v2, *trial.v3, &judge);
+    CheckoutOracle(*trial.v1, *trial.v2, *trial.v3, &judge);
     ConfigurationOracle(*trial.v1, *trial.v2, *trial.v3, scratch_directory,
                         &judge);
   }

@@ -16,17 +16,12 @@ namespace xydiff {
 /// inputs, BULD and the five baselines must agree, and the delta algebra
 /// must close — apply, invert, compose and the binary codec are all
 /// cross-checked against each other.
+///
+/// Every oracle always runs except the distance oracles, whose cost is
+/// quadratic or worse in the tree size.
 struct OracleOptions {
-  bool check_differential = true;  ///< BULD vs LaDiff patched byte-identity
-                                   ///< + Myers/ListDiff cross-checks.
   bool check_distance = true;      ///< Zhang-Shasha/Selkow metric axioms
                                    ///< (small trees only; quadratic+).
-  bool check_roundtrip = true;     ///< parse -> serialize fixpoint.
-  bool check_invert = true;        ///< Invert(d) ∘ d = identity.
-  bool check_compose = true;       ///< ComposeDeltas vs pairwise apply,
-                                   ///< and associativity over the chain.
-  bool check_codec = true;         ///< Binary codec round-trip identity.
-  bool check_checkout = true;      ///< Indexed vs replay Checkout.
   size_t distance_node_limit = 96; ///< Skip distance oracles above this.
 };
 
@@ -48,9 +43,11 @@ struct OracleReport {
 ///  * rejected raw inputs: the rejection must be a clean ParseError (the
 ///    hardened parser's contract) — reaching here at all already proves
 ///    no crash/hang;
-///  * version-bearing trials: all of OracleOptions over the v1->v2->v3
-///    chain, plus the configuration-differential oracle (always on): the
-///    chain stored through VersionRepository::Commit, Warehouse::Ingest
+///  * version-bearing trials: the pair oracles over v1 -> v2; the
+///    compose oracle over the v1 -> v2 -> v3 chain; the checkout oracle
+///    (Checkout of every version reproduces what was committed, XIDs
+///    included); and the configuration-differential oracle: the chain
+///    stored through VersionRepository::Commit, Warehouse::Ingest
 ///    and DiffBatch at 1 and 4 threads must agree on every version's
 ///    XIDs and bytes, on each step's operation count and delta size, on
 ///    Search after each step, and on the change statistics.

@@ -16,31 +16,11 @@
 
 namespace xydiff {
 
-/// Derived acceleration structure for any-version reconstruction: a
-/// pinned snapshot of version 1 (the checkpoint) plus skip-deltas in a
-/// binary-lifting layout. `levels[l][i]`, when present, transforms
-/// version i*2^(l+1)+1 directly into version (i+1)*2^(l+1)+1 — the
-/// composition of 2^(l+1) consecutive chain deltas, built by composing
-/// the two level-(l-1) entries covering its halves (so the whole index
-/// costs ~one composition per commit, amortized).
-///
-/// Everything here is re-derivable from the chain: a missing or dropped
-/// entry degrades Checkout cost, never correctness, which is what lets
-/// the store treat persisted index files as expendable during recovery.
-struct ReconstructionIndex {
-  std::optional<XmlDocument> checkpoint;  ///< Version 1, with XIDs.
-  std::vector<std::vector<std::optional<Delta>>> levels;
-
-  /// Chain deltas covered by one level-`level` entry.
-  static size_t SpanAtLevel(size_t level) { return size_t{2} << level; }
-};
-
-/// What one Checkout cost and which path it took.
+/// What one Checkout cost.
 struct CheckoutStats {
   size_t applications = 0;   ///< Delta applications performed.
   size_t nodes_indexed = 0;  ///< XID index registrations (see
                              ///< DeltaPathApplicator::nodes_indexed).
-  bool forward = false;      ///< Checkpoint + skip path (vs backward replay).
 };
 
 /// Size and CRC-64 of one chain delta's encoding in the binary storage
@@ -58,14 +38,8 @@ struct EncodedDigest {
 /// materialized, together with the chain of deltas
 /// delta(V1,V2), delta(V2,V3), … ("The old version is then possibly
 /// removed from the repository"). Any past version is reconstructed
-/// from deltas; with the reconstruction index active (built once by
-/// EnsureReconstructionIndex, or loaded from a persisted store, then
-/// maintained incrementally by Commit) any version is reachable in at
-/// most ⌈log₂ n⌉ + C delta applications — the greedy plan walks the
-/// binary decomposition of version-1, so its length is
-/// popcount(version-1) plus one step per index hole. A repository that
-/// never activates the index pays nothing for it and keeps the plain
-/// backward replay. The changes between two arbitrary versions come
+/// by replaying the chain backward from the current version, undoing
+/// one delta per step. The changes between two arbitrary versions come
 /// from the persistent XIDs.
 class VersionRepository {
  public:
@@ -74,13 +48,9 @@ class VersionRepository {
   explicit VersionRepository(XmlDocument first_version);
 
   /// Reassembles a repository from persisted parts (see storage.h):
-  /// the newest version (with XIDs) plus its delta chain, and optionally
-  /// the persisted reconstruction index.
+  /// the newest version (with XIDs) plus its delta chain.
   static VersionRepository FromParts(XmlDocument current,
                                      std::vector<Delta> deltas);
-  static VersionRepository FromParts(XmlDocument current,
-                                     std::vector<Delta> deltas,
-                                     ReconstructionIndex index);
 
   /// Commits the next version: diffs it against the current one, stores
   /// the delta, and replaces the current version. Returns the new version
@@ -100,11 +70,9 @@ class VersionRepository {
   /// The newest version's document.
   const XmlDocument& current() const { return current_; }
 
-  /// Reconstructs version `version` (1-based). With the reconstruction
-  /// index this costs O(log n) delta applications (the cheaper of the
-  /// forward checkpoint + skip plan and the backward replay is chosen);
-  /// without it, O(n - version) inverse applications as before. `stats`
-  /// (optional) reports the cost actually paid.
+  /// Reconstructs version `version` (1-based) by applying the inverses
+  /// of the n - version newest deltas to a clone of the current version.
+  /// `stats` (optional) reports the cost actually paid.
   ///
   /// `context` (optional, not owned) is checked before each delta
   /// application, so a long replay chain under a deadline returns
@@ -112,18 +80,6 @@ class VersionRepository {
   /// mutated by Checkout, so bailing is always clean.
   Result<XmlDocument> Checkout(int version, CheckoutStats* stats = nullptr,
                                const Context* context = nullptr) const;
-
-  /// Activates the reconstruction index and builds every missing piece:
-  /// the version-1 checkpoint (one backward replay when absent) and all
-  /// buildable skip-delta entries, including interior holes left by
-  /// recovery. Idempotent; O(chain) compositions worst case. Once
-  /// active, Commit extends the index at amortized O(1) compositions
-  /// per commit; repositories that never call this (and load no
-  /// persisted index) skip index maintenance entirely.
-  Status EnsureReconstructionIndex();
-
-  /// The reconstruction accelerator (persisted by storage.h).
-  const ReconstructionIndex& reconstruction_index() const { return index_; }
 
   /// Delta committed between `version` and `version + 1`.
   Result<const Delta*> DeltaFor(int version) const
@@ -169,16 +125,11 @@ class VersionRepository {
 
  private:
   Status CheckVersion(int version) const;
-  /// Builds missing index entries bottom-up. `fill_holes` rescans whole
-  /// levels for interior gaps; without it only the append-only tail of
-  /// each level is considered (the amortized-O(1) Commit path).
-  Status BuildIndexEntries(bool fill_holes);
 
   XmlDocument current_;
   std::vector<Delta> deltas_;  // deltas_[k] transforms version k+1 -> k+2.
   // delta_digests_[k] caches the encoding digest of deltas_[k].
   std::vector<std::optional<EncodedDigest>> delta_digests_;
-  ReconstructionIndex index_;
   DiffStats last_stats_;
 };
 

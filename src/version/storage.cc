@@ -33,31 +33,6 @@ std::string DeltaBinName(size_t index) {
   return name;
 }
 
-constexpr char kCheckpointXmlName[] = "checkpoint.000001.xml";
-constexpr char kCheckpointMetaName[] = "checkpoint.000001.meta";
-
-/// Skip-delta file for ReconstructionIndex::levels[level][index]
-/// (both zero-based; the file covers chain deltas
-/// [index*span, (index+1)*span) with span = 2 << level).
-std::string SkipName(size_t level, size_t index) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "skip.%06zu.%06zu.bin", level, index);
-  return name;
-}
-
-bool ParseSkipName(const std::string& name, size_t* level, size_t* index) {
-  unsigned long long l = 0, i = 0;
-  int consumed = 0;
-  if (std::sscanf(name.c_str(), "skip.%06llu.%06llu.bin%n", &l, &i,
-                  &consumed) != 2 ||
-      static_cast<size_t>(consumed) != name.size()) {
-    return false;
-  }
-  *level = static_cast<size_t>(l);
-  *index = static_cast<size_t>(i);
-  return true;
-}
-
 std::string CurrentXmlName(int epoch) {
   char name[32];
   std::snprintf(name, sizeof(name), "current.%06d.xml", epoch);
@@ -336,8 +311,6 @@ void CleanupUnreferenced(const std::string& directory,
     if (name == kManifestName || name == kQuarantineDir) continue;
     const bool managed = StartsWith(name, "delta.") ||
                          StartsWith(name, "current.") ||
-                         StartsWith(name, "checkpoint.") ||
-                         StartsWith(name, "skip.") ||
                          (name.size() > 4 &&
                           name.compare(name.size() - 4, 4, ".tmp") == 0);
     if (!managed || live.Find(name) != nullptr) continue;
@@ -485,10 +458,9 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
     next.prev_chain = old->chain;
   }
 
-  // Writes one data file unless the old manifest already lists the same
-  // bytes under the same name — in the common append-only case every
-  // prefix delta, the checkpoint, and every old skip span are skipped,
-  // so a commit writes one delta, the newly completed skip spans, two
+  // A delta file is written unless the old manifest already lists the
+  // same bytes under the same name — in the common append-only case
+  // every prefix delta is skipped, so a commit writes one delta, two
   // current files, and the MANIFEST.
   //
   // The existence check matters after recovery: a quarantined file is
@@ -499,16 +471,6 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
     return existing != nullptr && existing->size == entry.size &&
            existing->crc == entry.crc &&
            env->FileExists(directory + "/" + entry.name);
-  };
-  auto write_unless_unchanged = [&](std::string name,
-                                    const std::string& text) -> Status {
-    ManifestFile entry{std::move(name), text.size(), Crc64(text)};
-    if (!unchanged(entry)) {
-      XYDIFF_RETURN_IF_ERROR(
-          env->WriteFileAtomic(directory + "/" + entry.name, text));
-    }
-    next.files.push_back(std::move(entry));
-    return Status::OK();
   };
 
   // Delta chain, in the compact binary codec (delta/codec.h). A delta
@@ -524,30 +486,14 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
         continue;
       }
     }
-    XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        std::move(name), EncodeDeltaBinary(repo.deltas()[i])));
-    repo.set_delta_digest(i, {next.files.back().size, next.files.back().crc});
-  }
-
-  // Reconstruction index: the version-1 checkpoint plus every present
-  // skip-delta entry. All of it is derived state — a reader that finds
-  // it missing or damaged falls back to the plain chain — but persisting
-  // it keeps reopened stores at O(log n) Checkout without re-deriving
-  // ~n compositions. Crash-safety is inherited: these are ordinary
-  // manifest-listed data files, invisible until the MANIFEST commits.
-  const ReconstructionIndex& index = repo.reconstruction_index();
-  if (index.checkpoint.has_value() && !repo.deltas().empty()) {
-    XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        kCheckpointXmlName, SerializeCurrentXml(*index.checkpoint)));
-    XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        kCheckpointMetaName, SerializeCurrentMeta(*index.checkpoint)));
-    for (size_t level = 0; level < index.levels.size(); ++level) {
-      for (size_t i = 0; i < index.levels[level].size(); ++i) {
-        if (!index.levels[level][i].has_value()) continue;
-        XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-            SkipName(level, i), EncodeDeltaBinary(*index.levels[level][i])));
-      }
+    const std::string bytes = EncodeDeltaBinary(repo.deltas()[i]);
+    ManifestFile entry{std::move(name), bytes.size(), Crc64(bytes)};
+    if (!unchanged(entry)) {
+      XYDIFF_RETURN_IF_ERROR(
+          env->WriteFileAtomic(directory + "/" + entry.name, bytes));
     }
+    repo.set_delta_digest(i, {entry.size, entry.crc});
+    next.files.push_back(std::move(entry));
   }
 
   // Current snapshot under an epoch-fresh name, so the live epoch's
@@ -964,90 +910,9 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
     }
   }
 
-  // --- reconstruction index ---------------------------------------------
-  // Loaded only from a fully clean, fully verified store: dropped deltas
-  // or an epoch fallback renumber the chain, so persisted checkpoint and
-  // skip files would describe versions that no longer exist. The index
-  // is derived state — on any damage the offending file is quarantined
-  // and the WHOLE index is discarded, leaving the plain chain (Checkout
-  // falls back to backward replay; EnsureReconstructionIndex rebuilds).
-  ReconstructionIndex index;
-  if (verified && report->clean && !deltas.empty() &&
-      listed.Find(kCheckpointXmlName) != nullptr) {
-    bool index_ok = true;
-    auto fail_index = [&](const std::string& name, const Status& why) {
-      index_ok = false;
-      report->clean = false;
-      report->notes.push_back("reconstruction index discarded (" + name +
-                              ": " + why.ToString() + ")");
-      if (env->FileExists(directory + "/" + name)) {
-        QuarantineFile(directory, name, env, report);
-      }
-    };
-
-    const ManifestFile* cp_xml = listed.Find(kCheckpointXmlName);
-    const ManifestFile* cp_meta = listed.Find(kCheckpointMetaName);
-    if (cp_meta == nullptr) {
-      fail_index(kCheckpointMetaName,
-                 Status::Corruption("not listed in MANIFEST"));
-    } else {
-      Result<std::string> xml = ReadVerified(directory, *cp_xml, env);
-      if (!xml.ok() && xml.status().code() == StatusCode::kIOError) {
-        return xml.status();
-      }
-      Result<std::string> meta = ReadVerified(directory, *cp_meta, env);
-      if (!meta.ok() && meta.status().code() == StatusCode::kIOError) {
-        return meta.status();
-      }
-      Result<XmlDocument> checkpoint =
-          !xml.ok() ? Result<XmlDocument>(xml.status())
-          : !meta.ok()
-              ? Result<XmlDocument>(meta.status())
-              : ParseDocumentPair(*xml, *meta,
-                                  directory + "/" + kCheckpointMetaName);
-      if (checkpoint.ok()) {
-        index.checkpoint = std::move(*checkpoint);
-      } else {
-        fail_index(xml.ok() ? kCheckpointMetaName : kCheckpointXmlName,
-                   checkpoint.status());
-      }
-    }
-
-    for (const ManifestFile& entry : manifest->files) {
-      if (!index_ok) break;
-      size_t level = 0, idx = 0;
-      if (!ParseSkipName(entry.name, &level, &idx)) continue;
-      // Overflow-safe placement check: the entry must cover a whole,
-      // in-range span of the recovered chain.
-      const size_t span = level < 60 ? ReconstructionIndex::SpanAtLevel(level)
-                                     : deltas.size() + 1;
-      if (span > deltas.size() || idx >= deltas.size() / span) {
-        fail_index(entry.name,
-                   Status::Corruption("skip span outside the chain"));
-        break;
-      }
-      Result<std::string> bytes = ReadVerified(directory, entry, env);
-      if (!bytes.ok() && bytes.status().code() == StatusCode::kIOError) {
-        return bytes.status();
-      }
-      Result<Delta> skip = bytes.ok() ? DecodeDeltaBinary(*bytes)
-                                      : Result<Delta>(bytes.status());
-      if (!skip.ok()) {
-        fail_index(entry.name, skip.status());
-        break;
-      }
-      if (index.levels.size() <= level) index.levels.resize(level + 1);
-      if (index.levels[level].size() <= idx) {
-        index.levels[level].resize(idx + 1);
-      }
-      index.levels[level][idx] = std::move(*skip);
-    }
-    if (!index_ok) index = ReconstructionIndex{};
-  }
-
   report->recovered_version_count = static_cast<int>(deltas.size()) + 1;
   VersionRepository repo = VersionRepository::FromParts(
-      std::move(current.value()), std::move(deltas), std::move(index));
+      std::move(current.value()), std::move(deltas));
   if (digests_known && report->dropped_deltas == 0) {
     for (size_t i = 0; i < digests.size(); ++i) {
       repo.set_delta_digest(i, digests[i]);

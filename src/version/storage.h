@@ -27,12 +27,6 @@ namespace xydiff {
 ///   delta.000001.bin    delta chain in the compact binary codec
 ///   delta.000002.bin    (delta/codec.h); delta.00000k transforms
 ///                       version k into version k+1
-///   checkpoint.000001.xml/.meta
-///                       pinned version 1 (same pair format as current),
-///                       the base of forward reconstruction
-///   skip.<L>.<I>.bin    skip-delta levels[L][I] of the reconstruction
-///                       index (binary codec): the composition of chain
-///                       deltas [I*S, (I+1)*S) with S = 2^(L+1)
 ///   quarantine/         corrupt files moved aside by recovery, never
 ///                       deleted — forensics, not garbage
 ///
@@ -43,11 +37,12 @@ namespace xydiff {
 /// leaves either the old or the new repository, never a hybrid. A
 /// directory without a MANIFEST holds no repository.
 ///
-/// Checkpoint and skip files are *derived* state: they are loaded only
-/// from a fully verified, fully clean store, and on any damage (or any
-/// chain renumbering during recovery) the whole index is discarded and
-/// reconstruction falls back to the plain chain — degraded cost, never
-/// degraded correctness.
+/// The current version and the delta chain are the whole repository:
+/// nothing derived from them is persisted, so every past version is
+/// reconstructed by backward replay from the loaded current version.
+/// Files of other names (such as the checkpoint.* and skip.* files that
+/// older releases wrote for a reconstruction index) are never read and
+/// never removed; the next save leaves them out of the MANIFEST.
 ///
 /// All I/O is routed through an Env (util/env.h); `env == nullptr`
 /// means Env::Default(). Chain deltas are stored in the binary codec

@@ -133,7 +133,7 @@ TEST(DeltaAlgebraEdgeTest, MoveOfTheVirtualRootIsRejected) {
 // Composition across the storage boundary: encode both deltas through
 // the binary codec, decode them back, compose the *decoded* deltas, and
 // the composite must still take v1 to v3 (XIDs included). This is the
-// path the version store's skip-delta index exercises for real.
+// path any aggregation over a store's decoded chain deltas takes.
 TEST(DeltaAlgebraEdgeTest, ComposeHoldsAcrossTheCodecBoundary) {
   XmlDocument v1 = ParseWithXids(
       "<root><item id=\"1\">alpha</item><item id=\"2\">beta</item></root>");

@@ -180,90 +180,6 @@ TEST_F(FaultInjectionTest, TornWriteAtEveryOffsetYieldsOldOrNew) {
   }
 }
 
-/// An indexed repository: checkpoint pinned, then grown so the save
-/// protocol emits the checkpoint pair and at least two skip levels
-/// alongside the chain (8 deltas -> spans 2, 4, 8).
-VersionRepository MakeIndexedRepo(uint64_t seed, int extra_versions) {
-  VersionRepository repo = MakeRepo(seed, 0);
-  EXPECT_TRUE(repo.EnsureReconstructionIndex().ok());
-  Rng rng(seed + 5000);
-  for (int v = 0; v < extra_versions; ++v) {
-    Result<SimulatedChange> change =
-        SimulateChanges(repo.current(), ChangeSimOptions{}, &rng);
-    EXPECT_TRUE(change.ok());
-    EXPECT_TRUE(repo.Commit(std::move(change->new_version)).ok());
-  }
-  return repo;
-}
-
-TEST_F(FaultInjectionTest, IndexedCrashAtEveryOperationYieldsOldOrNew) {
-  // Same contract as the plain sweep, over the larger indexed protocol:
-  // chain + checkpoint pair + skip files. A crash anywhere — including
-  // mid-checkpoint or mid-skip write — must reopen as pre- or post-save;
-  // a load that sheds the derived index still counts as that epoch
-  // because every version reconstructs bit-exactly over the plain chain.
-  VersionRepository before = MakeIndexedRepo(25, 8);
-  VersionRepository after = MakeIndexedRepo(25, 8);
-  {
-    Rng rng(103);
-    Result<SimulatedChange> change =
-        SimulateChanges(after.current(), ChangeSimOptions{}, &rng);
-    ASSERT_TRUE(change.ok());
-    ASSERT_TRUE(after.Commit(std::move(change->new_version)).ok());
-  }
-  ASSERT_GE(after.reconstruction_index().levels.size(), 2u);
-  const std::vector<std::string> sig_before = Signature(before);
-  const std::vector<std::string> sig_after = Signature(after);
-  ASSERT_NE(sig_before, sig_after);
-
-  int op = 0;
-  for (; op < 10000; ++op) {
-    if (!ProbeCrashPoint(Dir(), before, after, sig_before, sig_after,
-                         [op](FaultInjectionEnv& env) { env.CrashAt(op); })) {
-      break;
-    }
-  }
-  // The indexed protocol writes strictly more files than the plain one
-  // (plain saves walk off after a handful of ops), so the sweep length
-  // itself proves the checkpoint and skip writes were inside it.
-  EXPECT_GT(op, 10);
-  EXPECT_LT(op, 10000);
-}
-
-TEST_F(FaultInjectionTest, IndexedTornWriteAtEveryOffsetYieldsOldOrNew) {
-  VersionRepository before = MakeIndexedRepo(26, 8);
-  VersionRepository after = MakeIndexedRepo(26, 8);
-  {
-    Rng rng(104);
-    Result<SimulatedChange> change =
-        SimulateChanges(after.current(), ChangeSimOptions{}, &rng);
-    ASSERT_TRUE(change.ok());
-    ASSERT_TRUE(after.Commit(std::move(change->new_version)).ok());
-  }
-  const std::vector<std::string> sig_before = Signature(before);
-  const std::vector<std::string> sig_after = Signature(after);
-  ASSERT_NE(sig_before, sig_after);
-
-  // Tear offsets land inside every payload class: nothing, one byte
-  // (slices varints mid-group in binary deltas and skip files), and
-  // 512 bytes (mid-checkpoint XML). Non-write ops degrade to a plain
-  // crash, keeping the sweep exhaustive over op indices.
-  for (const size_t keep : {size_t{0}, size_t{1}, size_t{512}}) {
-    int op = 0;
-    for (; op < 10000; ++op) {
-      if (!ProbeCrashPoint(
-              Dir(), before, after, sig_before, sig_after,
-              [op, keep](FaultInjectionEnv& env) {
-                env.TearWriteAt(op, keep);
-              })) {
-        break;
-      }
-    }
-    EXPECT_GT(op, 10) << "keep=" << keep;
-    EXPECT_LT(op, 10000) << "keep=" << keep;
-  }
-}
-
 TEST_F(FaultInjectionTest, TransientErrorAtEveryOperationIsRecoverable) {
   VersionRepository before = MakeRepo(23, 1);
   VersionRepository after = MakeRepo(23, 1);

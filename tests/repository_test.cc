@@ -123,13 +123,7 @@ TEST(RepositoryTest, LongSimulatedHistory) {
   EXPECT_GT(repo.last_commit_stats().nodes_new, 0u);
 }
 
-// --- reconstruction index (checkpoint + skip-deltas) -------------------
-
-size_t CeilLog2(size_t n) {
-  size_t bits = 0;
-  while ((size_t{1} << bits) < n) ++bits;
-  return bits;
-}
+// --- backward replay cost -----------------------------------------------
 
 /// Grows a repository through `commits` simulated changes, returning
 /// clones of every version for ground truth.
@@ -147,86 +141,18 @@ std::vector<XmlDocument> Grow(VersionRepository* repo, int commits,
   return snapshots;
 }
 
-TEST(RepositoryTest, IndexedCheckoutIsLogarithmicAndExact) {
-  Rng rng(31);
-  DocGenOptions gen;
-  gen.target_bytes = 2048;
-  VersionRepository repo(GenerateDocument(&rng, gen));
-  // Activate the index up front; Commit maintains it from then on.
-  XY_ASSERT_OK(repo.EnsureReconstructionIndex());
-  const std::vector<XmlDocument> snapshots = Grow(&repo, 32, &rng);
-  ASSERT_EQ(repo.version_count(), 33);
-
-  const size_t bound = CeilLog2(static_cast<size_t>(repo.version_count())) + 2;
-  for (int v = 1; v <= repo.version_count(); ++v) {
-    CheckoutStats stats;
-    Result<XmlDocument> doc = repo.Checkout(v, &stats);
-    ASSERT_TRUE(doc.ok()) << "version " << v;
-    EXPECT_TRUE(DocsEqualWithXids(*doc, snapshots[static_cast<size_t>(v) - 1]))
-        << "version " << v;
-    EXPECT_LE(stats.applications, bound)
-        << "version " << v << " took " << stats.applications
-        << " applications";
-  }
-  // Old versions must ride the forward skip path, not a long replay.
-  CheckoutStats stats;
-  XY_ASSERT_OK(repo.Checkout(1, &stats).status());
-  EXPECT_TRUE(stats.forward);
-  EXPECT_EQ(stats.applications, 0u);  // Version 1 IS the checkpoint.
-  XY_ASSERT_OK(repo.Checkout(2, &stats).status());
-  EXPECT_TRUE(stats.forward);
-  EXPECT_EQ(stats.applications, 1u);  // popcount(2-1).
-}
-
-TEST(RepositoryTest, UnindexedCheckoutStaysBackwardCompatible) {
+TEST(RepositoryTest, CheckoutIsABackwardReplay) {
   Rng rng(32);
   DocGenOptions gen;
   gen.target_bytes = 1024;
   VersionRepository repo(GenerateDocument(&rng, gen));
   const std::vector<XmlDocument> snapshots = Grow(&repo, 5, &rng);
-  // Without activation, reconstruction is the plain backward replay.
+  // One inverse application per delta between version 1 and current.
   CheckoutStats stats;
   Result<XmlDocument> v1 = repo.Checkout(1, &stats);
   ASSERT_TRUE(v1.ok());
-  EXPECT_FALSE(stats.forward);
   EXPECT_EQ(stats.applications, 5u);
   EXPECT_TRUE(DocsEqualWithXids(*v1, snapshots[0]));
-}
-
-TEST(RepositoryTest, EnsureActivatesIndexOnExistingChain) {
-  Rng rng(33);
-  DocGenOptions gen;
-  gen.target_bytes = 1024;
-  VersionRepository grown(GenerateDocument(&rng, gen));
-  const std::vector<XmlDocument> snapshots = Grow(&grown, 12, &rng);
-
-  // Rebuild from persisted-style parts: chain only, no index.
-  std::vector<Delta> chain;
-  for (const Delta& d : grown.deltas()) chain.push_back(d.Clone());
-  VersionRepository repo = VersionRepository::FromParts(
-      grown.current().Clone(), std::move(chain));
-  XY_ASSERT_OK(repo.EnsureReconstructionIndex());
-
-  const size_t bound = CeilLog2(static_cast<size_t>(repo.version_count())) + 2;
-  for (int v = 1; v <= repo.version_count(); ++v) {
-    CheckoutStats stats;
-    Result<XmlDocument> doc = repo.Checkout(v, &stats);
-    ASSERT_TRUE(doc.ok()) << "version " << v;
-    EXPECT_TRUE(DocsEqualWithXids(*doc, snapshots[static_cast<size_t>(v) - 1]))
-        << "version " << v;
-    EXPECT_LE(stats.applications, bound) << "version " << v;
-  }
-  // The index is complete: every level the chain supports exists.
-  const ReconstructionIndex& index = repo.reconstruction_index();
-  ASSERT_TRUE(index.checkpoint.has_value());
-  ASSERT_EQ(index.levels.size(), 3u);  // Spans 2, 4, 8 fit in 12 deltas.
-  EXPECT_EQ(index.levels[0].size(), 6u);
-  EXPECT_EQ(index.levels[1].size(), 3u);
-  EXPECT_EQ(index.levels[2].size(), 1u);
-
-  // A second Ensure is an idempotent no-op.
-  XY_ASSERT_OK(repo.EnsureReconstructionIndex());
-  ASSERT_EQ(index.levels.size(), 3u);
 }
 
 TEST(RepositoryTest, CheckoutIndexesEachNodeOncePerPath) {
@@ -251,7 +177,6 @@ TEST(RepositoryTest, CheckoutIndexesEachNodeOncePerPath) {
     CheckoutStats stats;
     Result<XmlDocument> doc = repo.Checkout(version, &stats);
     ASSERT_TRUE(doc.ok()) << "version " << version;
-    ASSERT_FALSE(stats.forward);
     EXPECT_EQ(stats.applications,
               static_cast<size_t>(repo.version_count() - version));
     EXPECT_LE(stats.nodes_indexed, start_nodes + inserted)
@@ -261,30 +186,6 @@ TEST(RepositoryTest, CheckoutIndexesEachNodeOncePerPath) {
       EXPECT_TRUE(DocsEqualWithXids(*doc, snapshots[0]));
       EXPECT_LT(stats.nodes_indexed, stats.applications * start_nodes / 4);
     }
-  }
-}
-
-TEST(RepositoryTest, ForwardAndBackwardPathsAgreeEverywhere) {
-  Rng rng(34);
-  DocGenOptions gen;
-  gen.target_bytes = 2048;
-  VersionRepository indexed(GenerateDocument(&rng, gen));
-  XY_ASSERT_OK(indexed.EnsureReconstructionIndex());
-  const std::vector<XmlDocument> snapshots = Grow(&indexed, 9, &rng);
-
-  std::vector<Delta> chain;
-  for (const Delta& d : indexed.deltas()) chain.push_back(d.Clone());
-  const VersionRepository plain = VersionRepository::FromParts(
-      indexed.current().Clone(), std::move(chain));
-
-  for (int v = 1; v <= indexed.version_count(); ++v) {
-    Result<XmlDocument> fast = indexed.Checkout(v);
-    Result<XmlDocument> slow = plain.Checkout(v);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    EXPECT_TRUE(DocsEqualWithXids(*fast, *slow)) << "version " << v;
-    EXPECT_TRUE(DocsEqualWithXids(*fast, snapshots[static_cast<size_t>(v) - 1]))
-        << "version " << v;
   }
 }
 

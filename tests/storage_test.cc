@@ -315,23 +315,6 @@ TEST_F(StorageTest, CleanLoadReportsClean) {
   EXPECT_EQ(report.recovered_version_count, repo.version_count());
 }
 
-// --- reconstruction index persistence ---------------------------------
-
-/// A repository with an active index deep enough for two skip levels
-/// (9 versions = 8 chain deltas: spans 2, 4, and 8 all complete).
-VersionRepository MakeIndexedRepo(uint64_t seed, int extra_versions) {
-  VersionRepository repo = MakeRepo(seed, 0);
-  EXPECT_TRUE(repo.EnsureReconstructionIndex().ok());
-  Rng rng(seed + 1000);
-  for (int v = 0; v < extra_versions; ++v) {
-    Result<SimulatedChange> change =
-        SimulateChanges(repo.current(), ChangeSimOptions{}, &rng);
-    EXPECT_TRUE(change.ok());
-    EXPECT_TRUE(repo.Commit(std::move(change->new_version)).ok());
-  }
-  return repo;
-}
-
 void ExpectAllVersionsEqual(const VersionRepository& expected,
                             const VersionRepository& actual) {
   ASSERT_EQ(actual.version_count(), expected.version_count());
@@ -343,90 +326,6 @@ void ExpectAllVersionsEqual(const VersionRepository& expected,
                           << got.status().ToString();
     EXPECT_TRUE(DocsEqualWithXids(*want, *got)) << "version " << v;
   }
-}
-
-TEST_F(StorageTest, PersistedIndexSurvivesReload) {
-  VersionRepository repo = MakeIndexedRepo(20, 8);
-  ASSERT_EQ(repo.reconstruction_index().levels.size(), 3u);
-  XY_ASSERT_OK(SaveRepository(repo, Dir()));
-  EXPECT_TRUE(fs::exists(dir_ / "checkpoint.000001.xml"));
-  EXPECT_TRUE(fs::exists(dir_ / "skip.000002.000000.bin"));
-
-  RecoveryReport report;
-  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(report.clean);
-  ASSERT_TRUE(loaded->reconstruction_index().checkpoint.has_value());
-  EXPECT_EQ(loaded->reconstruction_index().levels.size(), 3u);
-
-  // The loaded index actually drives reconstruction forward.
-  CheckoutStats stats;
-  Result<XmlDocument> v1 = loaded->Checkout(1, &stats);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_TRUE(stats.forward);
-  EXPECT_EQ(stats.applications, 0u);
-  ExpectAllVersionsEqual(repo, *loaded);
-
-  // A loaded repository keeps maintaining the index across commits and
-  // re-saves: the common reopen-commit-save cycle stays O(log n).
-  Rng rng(99);
-  Result<SimulatedChange> change =
-      SimulateChanges(loaded->current(), ChangeSimOptions{}, &rng);
-  ASSERT_TRUE(change.ok());
-  ASSERT_TRUE(loaded->Commit(std::move(change->new_version)).ok());
-  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
-  Result<VersionRepository> again = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(report.clean);
-  ExpectAllVersionsEqual(*loaded, *again);
-}
-
-TEST_F(StorageTest, CorruptSkipFileDropsIndexKeepsChain) {
-  VersionRepository repo = MakeIndexedRepo(21, 8);
-  XY_ASSERT_OK(SaveRepository(repo, Dir()));
-  FlipByte(Dir() + "/skip.000001.000000.bin");
-
-  RecoveryReport report;
-  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // The chain itself is intact — versions are NOT dropped; only the
-  // derived index is discarded and the bad file quarantined.
-  EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.dropped_deltas, 0u);
-  EXPECT_EQ(loaded->version_count(), repo.version_count());
-  EXPECT_FALSE(loaded->reconstruction_index().checkpoint.has_value());
-  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "skip.000001.000000.bin"));
-
-  CheckoutStats stats;
-  Result<XmlDocument> v1 = loaded->Checkout(1, &stats);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_FALSE(stats.forward);  // Plain-chain fallback.
-  ExpectAllVersionsEqual(repo, *loaded);
-
-  // The degraded store re-saves and heals: the surviving in-memory
-  // chain rebuilds its index on demand and persists it again.
-  XY_ASSERT_OK(loaded->EnsureReconstructionIndex());
-  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
-  Result<VersionRepository> healed = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(healed.ok());
-  EXPECT_TRUE(report.clean);
-  EXPECT_TRUE(healed->reconstruction_index().checkpoint.has_value());
-  ExpectAllVersionsEqual(repo, *healed);
-}
-
-TEST_F(StorageTest, CorruptCheckpointDropsIndexKeepsChain) {
-  VersionRepository repo = MakeIndexedRepo(22, 4);
-  XY_ASSERT_OK(SaveRepository(repo, Dir()));
-  FlipByte(Dir() + "/checkpoint.000001.meta");
-
-  RecoveryReport report;
-  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.dropped_deltas, 0u);
-  EXPECT_FALSE(loaded->reconstruction_index().checkpoint.has_value());
-  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "checkpoint.000001.meta"));
-  ExpectAllVersionsEqual(repo, *loaded);
 }
 
 // --- encoding digests of chain deltas -----------------------------------
@@ -590,8 +489,8 @@ std::map<std::string, std::string> ManifestEntries(const std::string& dir) {
 TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
   // One warehouse's store written twice: commit by commit through
   // DiffBatch group commits, and at once by Warehouse::Save into a fresh
-  // directory. Both must list the same delta, checkpoint and skip files
-  // (name, size, CRC) and current files of the same size and CRC.
+  // directory. Both must list the same delta files (name, size, CRC)
+  // and current files of the same size and CRC.
   const std::vector<std::string> urls = {"doc0", "doc1", "doc2"};
   const std::string incremental = Dir() + "/incremental";
   const std::string fresh = Dir() + "/fresh";
@@ -605,9 +504,7 @@ TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
     return change.ok() ? std::move(change->new_version) : current.Clone();
   };
 
-  // Seed: two versions of each document, then a reconstruction index in
-  // every stored repository, so the commits below also write checkpoint
-  // and skip files.
+  // Seed: two versions of each document.
   {
     Warehouse seed;
     for (const std::string& url : urls) {
@@ -618,12 +515,6 @@ TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
       ASSERT_TRUE(seed.Ingest(url, std::move(v2)).ok());
     }
     XY_ASSERT_OK(seed.Save(incremental));
-  }
-  for (const std::string& url : urls) {
-    Result<VersionRepository> repo = LoadRepository(incremental + "/" + url);
-    ASSERT_TRUE(repo.ok()) << repo.status().ToString();
-    XY_ASSERT_OK(repo->EnsureReconstructionIndex());
-    XY_ASSERT_OK(SaveRepository(*repo, incremental + "/" + url));
   }
   Result<std::unique_ptr<Warehouse>> warehouse = Warehouse::Load(incremental);
   ASSERT_TRUE(warehouse.ok()) << warehouse.status().ToString();
@@ -650,10 +541,9 @@ TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
     const std::map<std::string, std::string> committed =
         ManifestEntries(incremental + "/" + url);
     EXPECT_EQ(committed, ManifestEntries(fresh + "/" + url)) << url;
-    // 8 versions: 7 deltas, the checkpoint pair, skip files, current pair.
+    // 8 versions: 7 deltas and the current pair.
+    EXPECT_EQ(committed.size(), 9u) << url;
     EXPECT_EQ(committed.count("delta.000007.bin"), 1u) << url;
-    EXPECT_EQ(committed.count("checkpoint.000001.xml"), 1u) << url;
-    EXPECT_EQ(committed.count("skip.000000.000000.bin"), 1u) << url;
     EXPECT_EQ(committed.count("current.xml"), 1u) << url;
   }
 }

@@ -86,12 +86,16 @@ grep -q "skipped by --fail-fast" batch3_err.txt
 echo "-- checkout (reconstruct warehouse versions)"
 # The warehouse saved above holds doc-a at v2 (old -> new). The newest
 # version checks out by default and re-diffs against new.xml as empty.
+# --stats reports the backward replay's cost: the newest version is a
+# plain copy, the one before it one inverse delta application.
 "$TOOL" checkout warehouse doc-a -o co_v2.xml --stats 2> co_stats.txt
-grep -q "2 of 2" co_stats.txt
+grep -q "2 of 2, 0 delta application" co_stats.txt
 "$TOOL" diff co_v2.xml new.xml -o co_empty.xml
 "$TOOL" stats co_empty.xml | grep -q "operations     : 0"
 # --version 1 reconstructs the past version.
-"$TOOL" checkout warehouse doc-a --version 1 -o co_v1.xml
+"$TOOL" checkout warehouse doc-a --version 1 -o co_v1.xml --stats \
+  2> co_v1_stats.txt
+grep -q "1 of 2, 1 delta application" co_v1_stats.txt
 "$TOOL" diff co_v1.xml old.xml -o co_empty1.xml
 "$TOOL" stats co_empty1.xml | grep -q "operations     : 0"
 # A URL with '/' and '?' checks out by the URL itself, at both versions.

@@ -535,9 +535,9 @@ int CmdCheckout(const Args& args) {
   if (args.Has("--stats")) {
     std::fprintf(stderr,
                  "checkout: version %d of %d, %zu delta application(s),"
-                 " %s path\n",
+                 " %zu node(s) indexed\n",
                  version, repo->current_version(), stats.applications,
-                 stats.forward ? "forward skip" : "backward replay");
+                 stats.nodes_indexed);
   }
   return 0;
 }
