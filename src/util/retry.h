@@ -11,10 +11,8 @@
 
 namespace xydiff {
 
-/// The one retry-with-backoff policy in the tree. PR 5 (storage
-/// recovery) and PR 6 (warehouse store stage) each grew a private
-/// doubling-backoff loop; this unifies them and adds the two properties
-/// a pipeline under deadline needs:
+/// The one retry-with-backoff policy in the tree, with the two
+/// properties a pipeline under deadline needs:
 ///  - deadline-aware: never sleeps past `Context::deadline()`, and stops
 ///    retrying (returning the context error) once the context is dead;
 ///  - jittered: backoff is "equal jitter" (half fixed, half drawn from a

@@ -28,8 +28,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Cancelled";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

@@ -32,9 +32,6 @@ enum class StatusCode {
   kResourceExhausted, ///< Admission control shed the work: a byte or slot
                       ///< budget would be exceeded. Retryable with a smaller
                       ///< batch or after in-flight work drains.
-  kUnavailable,       ///< The service declines the work right now: document
-                      ///< quarantined by its circuit breaker, or warehouse in
-                      ///< degraded mode. Reads still work; retry later.
 };
 
 /// Returns a human-readable name, e.g. "InvalidArgument".
@@ -95,9 +92,6 @@ class [[nodiscard]] Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -109,11 +109,9 @@ std::string PipelineStats::ToString() const {
                 "peak in flight %zu, degraded slots %zu, wall %.3f s\n",
                 peak_in_flight, degraded_slots, wall_seconds);
   out += line;
-  if (shed_slots + quarantined_slots + deadline_slots + cancelled_slots > 0) {
-    std::snprintf(line, sizeof(line),
-                  "shed %zu, quarantined %zu, deadline %zu, cancelled %zu\n",
-                  shed_slots, quarantined_slots, deadline_slots,
-                  cancelled_slots);
+  if (shed_slots + deadline_slots + cancelled_slots > 0) {
+    std::snprintf(line, sizeof(line), "shed %zu, deadline %zu, cancelled %zu\n",
+                  shed_slots, deadline_slots, cancelled_slots);
     out += line;
   }
   return out;
@@ -170,11 +168,6 @@ Warehouse::SnapshotSlots() const {
 
 Result<Warehouse::IngestReport> Warehouse::Ingest(const std::string& url,
                                                   XmlDocument document) {
-  if (degraded_.load(std::memory_order_acquire)) {
-    return Status::Unavailable(
-        "warehouse degraded (persistent store IOError): ingest rejected, "
-        "reads still served: " + url);
-  }
   return IngestInternal(url, std::move(document));
 }
 
@@ -279,8 +272,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   std::atomic<size_t> degraded_slots{0};
   std::atomic<bool> batch_failed{false};
   // Overload accounting: slots declined or abandoned, by cause.
-  std::atomic<size_t> shed_count{0}, quarantined_count{0};
-  std::atomic<size_t> deadline_count{0}, cancelled_count{0};
+  std::atomic<size_t> shed_count{0}, deadline_count{0}, cancelled_count{0};
   // Byte budget spent by admitted slots (admission control).
   std::atomic<size_t> admitted_bytes{0};
   // Flush-group ordinal, salting the retry jitter stream per group.
@@ -292,14 +284,6 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     } else {
       deadline_count.fetch_add(1, std::memory_order_relaxed);
     }
-  };
-  // Fails a slot whose own processing blew the deadline: it counts
-  // against its URL's breaker (repeated time-outs quarantine the input).
-  const auto fail_slot_with_context_error = [&](size_t index,
-                                                const Status& status) {
-    count_context_error(status);
-    RecordBreakerOutcome(jobs[index].url, /*success=*/false, pipeline);
-    results[index] = status;
   };
 
   // Group commit: finished slots park here until a full group (or the
@@ -325,7 +309,6 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     const Status saved =
         SaveGroup(std::move(urls), pipeline.save_directory, pipeline.env,
                   pipeline.context, policy, &group_retries);
-    RecordStoreHealth(saved, pipeline);
     if (!saved.ok() && IsContextError(saved.code())) {
       // The in-memory ingests stand; only persistence was cut short.
       // Count once per group under the deadline/cancel columns so the
@@ -359,25 +342,12 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       return Status::Aborted("slot skipped: fail-fast after an earlier "
                              "slot failed");
     }
-    if (degraded_.load(std::memory_order_acquire)) {
-      quarantined_count.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable(
-          "warehouse degraded (persistent store IOError): slot "
-          "rejected, reads still served: " + jobs[i].url);
-    }
     if (pipeline.context != nullptr) {
-      // A slot never admitted does not count against its URL's breaker.
       Status live = pipeline.context->Check();
       if (!live.ok()) {
         count_context_error(live);
         return live;
       }
-    }
-    if (!BreakerAdmits(jobs[i].url, pipeline)) {
-      quarantined_count.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable(
-          "quarantined by circuit breaker after repeated failures: " +
-          jobs[i].url);
     }
     const size_t slot_bytes = jobs[i].xml.size();
     if (pipeline.max_document_bytes != 0 &&
@@ -403,7 +373,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   // One admitted slot, start to finish: parse → diff → delta accounting
   // → park for group commit. True when the slot was parked — it stays in
   // flight until its group flushes. A parse or diff error fails only
-  // this slot, and arms fail-fast and the URL's circuit breaker.
+  // this slot, and arms fail-fast.
   const auto run_admitted = [&](size_t i) {
     parse_items.fetch_add(1, std::memory_order_relaxed);
     // A recycled arena keeps its largest block, so steady-state slots
@@ -416,7 +386,6 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     if (!doc.ok()) {
       parse_failed.fetch_add(1, std::memory_order_relaxed);
       batch_failed.store(true, std::memory_order_release);
-      RecordBreakerOutcome(jobs[i].url, /*success=*/false, pipeline);
       results[i] = Status::ParseError("cannot parse " + jobs[i].url + ": " +
                                       doc.status().message());
       return false;
@@ -429,7 +398,8 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       const Status live = pipeline.context->Check();
       if (!live.ok()) {
         diff_failed.fetch_add(1, std::memory_order_relaxed);
-        fail_slot_with_context_error(i, live);
+        count_context_error(live);
+        results[i] = live;
         return false;
       }
     }
@@ -439,16 +409,14 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       diff_failed.fetch_add(1, std::memory_order_relaxed);
       const Status& status = results[i].status();
       if (IsContextError(status.code())) {
-        fail_slot_with_context_error(i, status);
+        count_context_error(status);
       } else {
         // Context deaths are not the batch's fault; everything else is
-        // and arms fail-fast + the slot's circuit breaker.
+        // and arms fail-fast.
         batch_failed.store(true, std::memory_order_release);
-        RecordBreakerOutcome(jobs[i].url, /*success=*/false, pipeline);
       }
       return false;
     }
-    RecordBreakerOutcome(jobs[i].url, /*success=*/true, pipeline);
     if (results[i]->first_version) return false;  // No delta to store.
 
     store_items.fetch_add(1, std::memory_order_relaxed);
@@ -494,7 +462,6 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     stats->peak_in_flight = peak_in_flight.load();
     stats->degraded_slots = degraded_slots.load();
     stats->shed_slots = shed_count.load();
-    stats->quarantined_slots = quarantined_count.load();
     stats->deadline_slots = deadline_count.load();
     stats->cancelled_slots = cancelled_count.load();
     stats->wall_seconds =
@@ -510,88 +477,6 @@ size_t Warehouse::document_count() const {
     count += shard.documents.size();
   }
   return count;
-}
-
-bool Warehouse::BreakerAdmits(const std::string& url,
-                              const PipelineOptions& pipeline) {
-  if (pipeline.breaker_failure_threshold <= 0) return true;  // Disabled.
-  Shard& shard = ShardFor(url);
-  MutexLock lock(shard.mutex);
-  const auto it = shard.breakers.find(url);
-  if (it == shard.breakers.end() || !it->second.open) return true;
-  // While open, every probe_interval-th arrival is admitted as a probe
-  // so a healed input can close its own breaker; the rest are rejected.
-  const int interval = std::max(1, pipeline.breaker_probe_interval);
-  const size_t seen = it->second.rejected_while_open++;
-  return seen % static_cast<size_t>(interval) ==
-         static_cast<size_t>(interval) - 1;
-}
-
-void Warehouse::RecordBreakerOutcome(const std::string& url, bool success,
-                                     const PipelineOptions& pipeline) {
-  if (pipeline.breaker_failure_threshold <= 0) return;  // Disabled.
-  Shard& shard = ShardFor(url);
-  MutexLock lock(shard.mutex);
-  if (success) {
-    shard.breakers.erase(url);  // Healed: forget the history entirely.
-    return;
-  }
-  Breaker& breaker = shard.breakers[url];
-  breaker.consecutive_failures++;
-  if (breaker.consecutive_failures >= pipeline.breaker_failure_threshold) {
-    breaker.open = true;
-  }
-}
-
-void Warehouse::RecordStoreHealth(const Status& saved,
-                                  const PipelineOptions& pipeline) {
-  if (saved.ok()) {
-    io_failure_streak_.store(0, std::memory_order_release);
-    return;
-  }
-  // Only real I/O errors advance the streak: a deadline or cancellation
-  // during a save says nothing about the store Env's health.
-  if (saved.code() != StatusCode::kIOError) return;
-  const size_t streak =
-      io_failure_streak_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (pipeline.degrade_after_io_failures > 0 &&
-      streak >= static_cast<size_t>(pipeline.degrade_after_io_failures)) {
-    degraded_.store(true, std::memory_order_release);
-  }
-}
-
-Warehouse::Health Warehouse::health() const {
-  Health snapshot;
-  snapshot.degraded = degraded_.load(std::memory_order_acquire);
-  snapshot.io_failure_streak =
-      io_failure_streak_.load(std::memory_order_acquire);
-  snapshot.open_breakers = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const auto& [url, breaker] : shard.breakers) {
-      if (breaker.open) snapshot.open_breakers++;
-    }
-  }
-  snapshot.documents = document_count();
-  return snapshot;
-}
-
-void Warehouse::ResetHealth() {
-  degraded_.store(false, std::memory_order_release);
-  io_failure_streak_.store(0, std::memory_order_release);
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    shard.breakers.clear();
-  }
-}
-
-std::string Warehouse::Health::ToString() const {
-  std::string out = degraded ? "DEGRADED (ingest rejected, reads served)"
-                             : "healthy";
-  out += ": io_failure_streak=" + std::to_string(io_failure_streak);
-  out += " open_breakers=" + std::to_string(open_breakers);
-  out += " documents=" + std::to_string(documents);
-  return out;
 }
 
 std::vector<std::string> Warehouse::urls() const {
@@ -711,7 +596,7 @@ Status Warehouse::Save(const std::string& directory, Env* env) const {
   XYDIFF_RETURN_IF_ERROR(env->CreateDirs(directory));
   // The document list lands first; the commit's parent directory sync
   // makes it durable. A listed document whose first commit did not land
-  // has no repository yet, and Load reports it skipped.
+  // has no repository yet, and Load leaves it out.
   std::vector<std::string> all = urls();
   std::string manifest;
   for (const std::string& url : all) {
@@ -746,6 +631,9 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Load(
   auto warehouse = std::make_unique<Warehouse>(options);
   for (const StoredDocument& document : *stored) {
     Result<VersionRepository> repo = LoadRepository(document.path, env);
+    // NotFound: Save listed the document, then crashed before its first
+    // commit landed, so it was never stored and is simply absent.
+    if (!repo.ok() && repo.status().code() == StatusCode::kNotFound) continue;
     if (!repo.ok()) {
       // A malformed stored document loses only itself, never the batch:
       // record the error and keep loading the healthy documents.

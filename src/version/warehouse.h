@@ -2,7 +2,6 @@
 #define XYDIFF_VERSION_WAREHOUSE_H_
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -49,12 +48,10 @@ struct PipelineStats {
                               ///< or completed without their side effects
                               ///< (e.g. persistence gave up) — per-slot
                               ///< degradation, distinct from failures.
-  // Overload accounting (DESIGN.md §3.17). These four partition the
+  // Overload accounting (DESIGN.md §3.17). These three partition the
   // slots that the pipeline declined or abandoned, by cause:
   size_t shed_slots = 0;        ///< Admission control: a byte/slot budget
                                 ///< would be exceeded (kResourceExhausted).
-  size_t quarantined_slots = 0; ///< Circuit breaker open for the URL, or
-                                ///< warehouse degraded (kUnavailable).
   size_t deadline_slots = 0;    ///< Context deadline fired (kDeadlineExceeded).
   size_t cancelled_slots = 0;   ///< Context cancelled (kCancelled).
   double wall_seconds = 0;
@@ -149,22 +146,6 @@ class Warehouse {
     /// document is shed with kResourceExhausted before it can balloon a
     /// parse arena. 0 = unlimited.
     size_t max_document_bytes = 0;
-    /// Circuit breaker: a URL whose slots fail this many consecutive
-    /// times (parse/diff errors, or a deadline firing while its slot was
-    /// being processed) has its breaker opened — subsequent slots for it
-    /// are rejected with kUnavailable ("quarantined") without spending
-    /// any work. 0 disables the breaker.
-    int breaker_failure_threshold = 0;
-    /// While a breaker is open, every Nth rejected admission is let
-    /// through as a probe; one success closes the breaker. Deterministic
-    /// (count-based, no wall clock) so tests replay exactly.
-    int breaker_probe_interval = 4;
-    /// Degraded mode: after this many consecutive group commits
-    /// failing with persistent IOError, the warehouse flips to degraded
-    /// (health().degraded) and rejects further ingest admissions with
-    /// kUnavailable while still serving reads (Search/Checkout). A
-    /// successful commit, or ResetHealth(), clears it. 0 disables.
-    int degrade_after_io_failures = 0;
   };
 
   explicit Warehouse(DiffOptions options = {}) : options_(options) {}
@@ -186,7 +167,7 @@ class Warehouse {
 
   /// Ingests many pre-parsed documents concurrently on up to `threads`
   /// ParallelFor workers, each through Ingest() — monitors maintained
-  /// inline, no byte budgets or breakers, nothing persisted. URLs must be
+  /// inline, no byte budgets, nothing persisted. URLs must be
   /// distinct within one batch. Reports come back in input order; a
   /// failed document carries its error in the result slot.
   std::vector<Result<IngestReport>> IngestBatch(
@@ -211,25 +192,6 @@ class Warehouse {
   std::vector<Result<IngestReport>> DiffBatch(std::vector<DiffJob> jobs) {
     return DiffBatch(std::move(jobs), PipelineOptions());
   }
-
-  /// Point-in-time health snapshot (see DESIGN.md §3.17). `degraded`
-  /// means the store Env reported persistent IOError and the warehouse
-  /// is rejecting ingest while serving reads; `open_breakers` counts
-  /// URLs currently quarantined by their circuit breaker.
-  struct Health {
-    bool degraded = false;
-    size_t io_failure_streak = 0;
-    size_t open_breakers = 0;
-    size_t documents = 0;
-
-    std::string ToString() const;
-  };
-  Health health() const;
-
-  /// Operator action: leaves degraded mode and closes every circuit
-  /// breaker. State also self-heals (a successful store commit resets
-  /// the IOError streak; a successful probe closes a breaker).
-  void ResetHealth();
 
   /// Number of tracked documents.
   size_t document_count() const;
@@ -267,7 +229,9 @@ class Warehouse {
   /// repository self-heals where it can (quarantining corrupt tails —
   /// see LoadRepository), and one that is beyond recovery is skipped
   /// with its error recorded in `skipped` (when non-null), so one
-  /// truncated file cannot take down the warehouse.
+  /// truncated file cannot take down the warehouse. A listed document
+  /// whose directory holds no repository (a crashed Save listed it
+  /// before its first commit landed) loads as absent, not skipped.
   /// (Returned by pointer: the warehouse owns mutexes and cannot move.)
   static Result<std::unique_ptr<Warehouse>> Load(
       const std::string& directory, DiffOptions options = {},
@@ -290,16 +254,6 @@ class Warehouse {
     std::optional<FullTextIndex> index XY_GUARDED_BY(mutex);
   };
 
-  /// Per-URL circuit breaker state (deterministic, count-based — no
-  /// wall clock, so quarantine behaviour replays exactly in tests and
-  /// fuzz trials). Lives beside the document map because failed parses
-  /// never create a Document slot, yet must still trip the breaker.
-  struct Breaker {
-    int consecutive_failures = 0;
-    bool open = false;
-    size_t rejected_while_open = 0;  ///< Drives the probe cadence.
-  };
-
   /// The document map is split into shards locked independently, so the
   /// map-shape lock is never a global serialization point for a batch.
   /// Only the map *shape* is guarded — Document contents have their own
@@ -308,7 +262,6 @@ class Warehouse {
     mutable Mutex mutex;
     std::map<std::string, std::unique_ptr<Document>> documents
         XY_GUARDED_BY(mutex);
-    std::map<std::string, Breaker> breakers XY_GUARDED_BY(mutex);
   };
   static constexpr size_t kShards = 16;
   /// DiffBatch group-commit width (see PipelineOptions::save_directory).
@@ -338,22 +291,6 @@ class Warehouse {
                                       XmlDocument document,
                                       const Context* context = nullptr);
 
-  /// Circuit-breaker admission check for `url`: true admits (closed
-  /// breaker, or an open breaker's probe turn). False rejects and
-  /// advances the probe counter. No-op (always true) when the breaker
-  /// is disabled.
-  bool BreakerAdmits(const std::string& url, const PipelineOptions& pipeline);
-  /// Feeds one slot outcome into `url`'s breaker: success closes it and
-  /// clears the streak; failure (slot-intrinsic: parse/diff error or a
-  /// deadline during processing) may open it.
-  void RecordBreakerOutcome(const std::string& url, bool success,
-                            const PipelineOptions& pipeline);
-  /// Feeds one store-commit outcome into degraded-mode tracking.
-  /// Context errors (deadline/cancel) are neutral — only real IOError
-  /// advances the streak, only success clears it.
-  void RecordStoreHealth(const Status& saved,
-                         const PipelineOptions& pipeline);
-
   Shard& ShardFor(const std::string& url) const;
   Document* FindDocument(const std::string& url) const;
   /// Finds or creates the slot for `url`; sets `created`.
@@ -377,11 +314,6 @@ class Warehouse {
   // happens in a thread-local collector, the merge is O(labels).
   mutable Mutex stats_mutex_;
   ChangeStatistics stats_ XY_GUARDED_BY(stats_mutex_);
-  // Degraded-mode tracking (plain atomics, not a mutex: updated from
-  // the group commit with document locks held, and a new lock there
-  // would grow the lock-order graph for two monotonic counters).
-  mutable std::atomic<size_t> io_failure_streak_{0};
-  mutable std::atomic<bool> degraded_{false};
 };
 
 }  // namespace xydiff

@@ -247,13 +247,9 @@ TEST(StatusTest, NewOverloadCodesHaveNamesAndFactories) {
   EXPECT_EQ(Status::Cancelled("c").code(), StatusCode::kCancelled);
   EXPECT_EQ(Status::ResourceExhausted("r").code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(Status::Unavailable("u").code(), StatusCode::kUnavailable);
   EXPECT_NE(Status::DeadlineExceeded("d").ToString().find("DeadlineExceeded"),
             std::string::npos);
-  EXPECT_NE(Status::Unavailable("u").ToString().find("Unavailable"),
-            std::string::npos);
   EXPECT_FALSE(IsContextError(StatusCode::kResourceExhausted));
-  EXPECT_FALSE(IsContextError(StatusCode::kUnavailable));
 }
 
 }  // namespace

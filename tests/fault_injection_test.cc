@@ -591,7 +591,7 @@ std::vector<std::string> DocumentSignature(const Warehouse& warehouse,
   return out;
 }
 
-/// Three documents, each ingested `versions` times along one seeded
+/// Each document ingested `versions` times along one seeded
 /// trajectory, so MakeWarehouse(2) and MakeWarehouse(3) agree on
 /// versions 1 and 2 of every document.
 std::unique_ptr<Warehouse> MakeWarehouse(const std::vector<std::string>& urls,
@@ -620,49 +620,58 @@ std::unique_ptr<Warehouse> MakeWarehouse(const std::vector<std::string>& urls,
 TEST_F(FaultInjectionTest, WarehouseSaveCrashAtEveryOperationIsAllOrNothing) {
   // Warehouse::Save commits every document in one group commit: a crash
   // at any env op of the save that moves each of three documents one
-  // version forward must reopen, through Warehouse::Load, with every
-  // document pre-save or every one post-save.
+  // version forward and adds a fourth must reopen, through
+  // Warehouse::Load, with every document pre-save or every one
+  // post-save, and none skipped. Pre-save, the fourth is absent (an
+  // empty signature).
   const std::vector<std::string> urls = {"http://x.com/a?b", "http://x.com/c",
-                                         "http://x.com/d_e"};
-  const std::unique_ptr<Warehouse> before = MakeWarehouse(urls, 2);
+                                         "http://x.com/d_e", "http://x.com/f"};
+  const std::unique_ptr<Warehouse> before =
+      MakeWarehouse({urls.begin(), urls.end() - 1}, 2);
   const std::unique_ptr<Warehouse> after = MakeWarehouse(urls, 3);
   std::vector<std::vector<std::string>> sig_before, sig_after;
   for (const std::string& url : urls) {
     sig_before.push_back(DocumentSignature(*before, url));
     sig_after.push_back(DocumentSignature(*after, url));
-    ASSERT_EQ(sig_before.back().size(), 2u);
+    ASSERT_EQ(sig_before.back().size(), url == urls.back() ? 0u : 2u);
     ASSERT_EQ(sig_after.back().size(), 3u);
   }
 
-  int op = 0;
-  for (; op < 10000; ++op) {
-    fs::remove_all(dir_);
-    FaultInjectionEnv env;
-    XY_ASSERT_OK(before->Save(Dir(), &env));
-    env.Reset();  // Disk state stands; forget counters and durable images.
-    env.CrashAt(op);
-    const Status saved = after->Save(Dir(), &env);
-    const bool triggered = env.triggered();
-    XY_ASSERT_OK(env.DropUnsyncedData());
+  // Two crash models: a power loss drops every unsynced write; a process
+  // crash keeps them all, so the document list, written before the
+  // commit, can outlive a commit that never landed.
+  for (const bool power_loss : {true, false}) {
+    int op = 0;
+    for (; op < 10000; ++op) {
+      fs::remove_all(dir_);
+      FaultInjectionEnv env;
+      XY_ASSERT_OK(before->Save(Dir(), &env));
+      env.Reset();  // Disk state stands; forget counters and durable images.
+      env.CrashAt(op);
+      const Status saved = after->Save(Dir(), &env);
+      const bool triggered = env.triggered();
+      if (power_loss) XY_ASSERT_OK(env.DropUnsyncedData());
 
-    std::vector<std::string> skipped;
-    Result<std::unique_ptr<Warehouse>> reopened =
-        Warehouse::Load(Dir(), DiffOptions{}, &skipped);
-    ASSERT_TRUE(reopened.ok()) << "op " << op << ": "
-                               << reopened.status().ToString();
-    EXPECT_TRUE(skipped.empty()) << "op " << op << ": " << skipped.front();
-    std::vector<std::vector<std::string>> sigs;
-    for (const std::string& url : urls) {
-      sigs.push_back(DocumentSignature(**reopened, url));
+      std::vector<std::string> skipped;
+      Result<std::unique_ptr<Warehouse>> reopened =
+          Warehouse::Load(Dir(), DiffOptions{}, &skipped);
+      ASSERT_TRUE(reopened.ok()) << "op " << op << ": "
+                                 << reopened.status().ToString();
+      EXPECT_TRUE(skipped.empty()) << "op " << op << ": " << skipped.front();
+      std::vector<std::vector<std::string>> sigs;
+      for (const std::string& url : urls) {
+        sigs.push_back(DocumentSignature(**reopened, url));
+      }
+      SCOPED_TRACE(std::string(power_loss ? "power loss" : "process crash") +
+                   " at op " + std::to_string(op));
+      ExpectAllPreOrAllPost(sigs, sig_before, sig_after, saved.ok());
+      if (!triggered) break;
     }
-    SCOPED_TRACE("crash at op " + std::to_string(op));
-    ExpectAllPreOrAllPost(sigs, sig_before, sig_after, saved.ok());
-    if (!triggered) break;
+    // Four documents plus the document list and the journal: far more
+    // ops than one repository's save.
+    EXPECT_GT(op, 20);
+    EXPECT_LT(op, 10000);
   }
-  // Three documents plus the document list and the journal: far more
-  // ops than one repository's save.
-  EXPECT_GT(op, 20);
-  EXPECT_LT(op, 10000);
 }
 
 TEST_F(FaultInjectionTest, DelayAtStallsTheTargetedOperations) {

@@ -82,6 +82,20 @@ then
   echo "expected a nonzero exit under --fail-fast"; exit 1
 fi
 grep -q "skipped by --fail-fast" batch3_err.txt
+# A 1-byte budget sheds every slot: the run exits 5 and names the cause.
+shed_status=0
+"$TOOL" batch manifest.tsv --max-batch-bytes 1 > shed_out.txt \
+  2> shed_err.txt || shed_status=$?
+[ "$shed_status" -eq 5 ] || {
+  echo "expected exit 5 for an all-shed batch, got $shed_status"; exit 1
+}
+grep -q "shed" shed_err.txt
+# The usage text lists exactly the exit codes that remain.
+"$TOOL" batch > /dev/null 2> batch_usage.txt || true
+grep -q "5 shed (budget)" batch_usage.txt
+if grep -q "6 quarantined" batch_usage.txt; then
+  echo "usage still lists exit code 6"; exit 1
+fi
 
 echo "-- checkout (reconstruct warehouse versions)"
 # The warehouse saved above holds doc-a at v2 (old -> new). The newest

@@ -326,7 +326,7 @@ int CmdBatch(const Args& args) {
                  "       [--deadline-ms MS] [--max-batch-bytes BYTES]\n"
                  "manifest line: OLD.xml<TAB>NEW.xml[<TAB>URL]\n"
                  "exit codes: 0 ok, 1 slot failed, 2 usage, 3 deadline,\n"
-                 "            4 cancelled, 5 shed (budget), 6 quarantined\n");
+                 "            4 cancelled, 5 shed (budget)\n");
     return 2;
   }
   Result<std::string> manifest =
@@ -384,12 +384,11 @@ int CmdBatch(const Args& args) {
 
   // Per-slot outcomes accumulate here; the tool always prints a summary
   // of every failed slot and exits non-zero if there was any. Overload
-  // outcomes (deadline / cancelled / shed / quarantined) are counted
-  // separately and map to distinct exit codes.
+  // outcomes (deadline / cancelled / shed) are counted separately and
+  // map to distinct exit codes.
   std::vector<std::string> failed_slots;
   size_t aborted = 0;
-  size_t deadline_slots = 0, cancelled_slots = 0;
-  size_t shed_slots = 0, quarantined_slots = 0;
+  size_t deadline_slots = 0, cancelled_slots = 0, shed_slots = 0;
   const std::vector<std::string> urls = [&] {
     std::vector<std::string> out;
     for (const Warehouse::DiffJob& job : news) out.push_back(job.url);
@@ -414,10 +413,6 @@ int CmdBatch(const Args& args) {
       case StatusCode::kResourceExhausted:
         ++shed_slots;
         category = "shed";
-        break;
-      case StatusCode::kUnavailable:
-        ++quarantined_slots;
-        category = "quarantined";
         break;
       default:
         break;
@@ -462,14 +457,10 @@ int CmdBatch(const Args& args) {
   if (aborted > 0) {
     std::fprintf(stderr, "%zu slot(s) skipped by --fail-fast\n", aborted);
   }
-  const size_t overload_slots =
-      deadline_slots + cancelled_slots + shed_slots + quarantined_slots;
+  const size_t overload_slots = deadline_slots + cancelled_slots + shed_slots;
   if (overload_slots > 0) {
-    std::fprintf(stderr,
-                 "overload: %zu deadline, %zu cancelled, %zu shed,"
-                 " %zu quarantined\n",
-                 deadline_slots, cancelled_slots, shed_slots,
-                 quarantined_slots);
+    std::fprintf(stderr, "overload: %zu deadline, %zu cancelled, %zu shed\n",
+                 deadline_slots, cancelled_slots, shed_slots);
   }
   if (args.Has("--stats")) {
     std::fputs(stats.ToString().c_str(), stderr);
@@ -486,7 +477,6 @@ int CmdBatch(const Args& args) {
     if (deadline_slots == overload_slots) return 3;
     if (cancelled_slots == overload_slots) return 4;
     if (shed_slots == overload_slots) return 5;
-    if (quarantined_slots == overload_slots) return 6;
   }
   return 1;
 }
