@@ -397,7 +397,10 @@ void CheckoutOracle(const XmlDocument& v1, const XmlDocument& v2,
 ///  (c) Warehouse::DiffBatch at 1 thread;
 ///  (d) DiffBatch at 4 threads, the chain under 4 URLs in each batch;
 ///  (e) the (d) warehouse after Warehouse::Save into `scratch_directory`
-///      and Warehouse::Load back (skipped when no directory is given).
+///      and Warehouse::Load back;
+///  (f) Warehouse::Load, after every step and with no Save, of the store
+///      that (d) group-commits into `scratch_directory`/group.
+/// (e) and (f) are skipped when no directory is given.
 /// Every path must check out byte-identical versions with XIDs and
 /// report the reference's operation count per step; DiffBatch's
 /// delta_bytes must be the size of the reference delta's serialization.
@@ -476,6 +479,25 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
     return std::string();
   };
 
+  // Checkouts of versions 1..`versions` of each of the first `urls`
+  // URLs must be the reference's, byte for byte with XIDs.
+  const auto checkouts_agree = [&](const Warehouse& warehouse, int urls,
+                                   int versions) {
+    for (int u = 0; u < urls; ++u) {
+      const std::string url = "doc" + std::to_string(u);
+      for (int version = 1; version <= versions; ++version) {
+        Result<XmlDocument> doc = warehouse.Checkout(url, version);
+        if (warehouse.version_count(url) != versions || !doc.ok() ||
+            CanonicalWithXids(*doc) != ref_versions[version - 1]) {
+          return "disagrees with the reference on version " +
+                 std::to_string(version) + " of " + url + " (of " +
+                 std::to_string(warehouse.version_count(url)) + ")";
+        }
+      }
+    }
+    return std::string();
+  };
+
   // (b), (c) and (d); 0 threads stands for Ingest.
   for (const int threads : {0, 1, 4}) {
     const std::string path =
@@ -484,6 +506,10 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
     Warehouse warehouse;
     Warehouse::PipelineOptions pipeline;
     pipeline.threads = threads;
+    // (f) The 4-thread run group-commits every step into its own store.
+    if (threads == 4 && !scratch_directory.empty()) {
+      pipeline.save_directory = scratch_directory + "/group";
+    }
     for (int step = 0; step < kVersions; ++step) {
       std::vector<Result<Warehouse::IngestReport>> reports;
       if (threads == 0) {
@@ -514,6 +540,16 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
                                 ", reference delta serializes to " +
                                 std::to_string(ref_delta_bytes[step]));
         }
+      }
+      if (!pipeline.save_directory.empty()) {
+        std::vector<std::string> skipped;
+        Result<std::unique_ptr<Warehouse>> committed = Warehouse::Load(
+            pipeline.save_directory, DiffOptions{}, &skipped);
+        const std::string error =
+            !committed.ok()   ? committed.status().ToString()
+            : !skipped.empty() ? skipped.front()
+                               : checkouts_agree(**committed, urls, step + 1);
+        if (!error.empty()) return fail("DiffBatch+Load", where + error);
       }
       // Between steps, so the next step's delta meets a built index.
       if (std::string error = search_agrees(warehouse, urls, step + 1);
@@ -550,17 +586,9 @@ void ConfigurationOracle(const XmlDocument& v1, const XmlDocument& v2,
     }
     for (const Warehouse* stored : {&warehouse, reloaded.get()}) {
       if (stored == nullptr) continue;
-      for (int u = 0; u < urls; ++u) {
-        const std::string url = "doc" + std::to_string(u);
-        for (int version = 1; version <= kVersions; ++version) {
-          Result<XmlDocument> doc = stored->Checkout(url, version);
-          if (!doc.ok() ||
-              CanonicalWithXids(*doc) != ref_versions[version - 1]) {
-            return fail(stored == &warehouse ? path : "Save+Load",
-                        "disagrees with the reference on version " +
-                            std::to_string(version) + " of " + url);
-          }
-        }
+      if (std::string error = checkouts_agree(*stored, urls, kVersions);
+          !error.empty()) {
+        return fail(stored == &warehouse ? path : "Save+Load", error);
       }
     }
   }

@@ -4,8 +4,6 @@
 #include <unordered_map>
 
 #include "core/buld.h"
-#include "util/parallel_for.h"
-#include "xml/parser.h"
 
 namespace xydiff {
 
@@ -165,34 +163,6 @@ Result<SiteDiffResult> DiffSites(XmlDocument* old_site, XmlDocument* new_site,
     result.changes.push_back(std::move(change));
   }
   return result;
-}
-
-std::vector<Result<SiteDiffResult>> DiffSitesBatch(
-    std::vector<SiteDiffJob> jobs, int threads, const DiffOptions& options) {
-  std::vector<Result<SiteDiffResult>> results;
-  results.reserve(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    results.emplace_back(Status::Corruption("site diff never ran"));
-  }
-  // Pairs share nothing — each worker parses its pair into fresh arenas
-  // and runs the whole site diff. Results land in pre-sized slots, so no
-  // output lock either.
-  ParallelFor(threads, jobs.size(), [&](size_t index) {
-    Result<XmlDocument> old_site = ParseXml(jobs[index].old_xml);
-    if (!old_site.ok()) {
-      results[index] =
-          Status::ParseError("old snapshot: " + old_site.status().ToString());
-      return;
-    }
-    Result<XmlDocument> new_site = ParseXml(jobs[index].new_xml);
-    if (!new_site.ok()) {
-      results[index] =
-          Status::ParseError("new snapshot: " + new_site.status().ToString());
-      return;
-    }
-    results[index] = DiffSites(&old_site.value(), &new_site.value(), options);
-  });
-  return results;
 }
 
 }  // namespace xydiff

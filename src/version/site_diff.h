@@ -58,23 +58,6 @@ struct SiteDiffResult {
 Result<SiteDiffResult> DiffSites(XmlDocument* old_site, XmlDocument* new_site,
                                  const DiffOptions& options = {});
 
-/// One snapshot pair for batch site diffing: the raw XML of both
-/// versions, as the crawler stores them. Parsing happens on a worker.
-struct SiteDiffJob {
-  std::string old_xml;
-  std::string new_xml;
-};
-
-/// Diffs many snapshot pairs concurrently on up to `threads` ParallelFor
-/// workers, one pair start to finish per claim. Each pair is parsed into
-/// its own arenas and
-/// diffed independently (site pairs share no state), so scaling is
-/// per-document, like Warehouse::DiffBatch. Results come back in input
-/// order; a malformed pair fails only its own slot.
-std::vector<Result<SiteDiffResult>> DiffSitesBatch(
-    std::vector<SiteDiffJob> jobs, int threads,
-    const DiffOptions& options = {});
-
 }  // namespace xydiff
 
 #endif  // XYDIFF_VERSION_SITE_DIFF_H_

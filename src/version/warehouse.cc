@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -21,38 +22,13 @@ namespace xydiff {
 
 namespace {
 
-/// The store's document list: one `<subdirectory>\t<url>` line per
-/// document, written by Save.
+/// The document list that older releases kept in a store. It is never
+/// read or written; the name stays reserved (see SanitizeUrl).
 constexpr char kManifestName[] = "manifest.tsv";
 
 /// File systems cap one path component at 255 bytes (NAME_MAX). A URL's
 /// store directory name must fit with room for a ".tmp" suffix.
 constexpr size_t kMaxStoreNameBytes = 255 - (sizeof(".tmp") - 1);
-
-/// One document of a store: its repository directory and its URL.
-struct StoredDocument {
-  std::string path;
-  std::string url;
-};
-
-/// Opens a store written by Warehouse::Save for reading: rolls an
-/// interrupted group commit forward (or discards a torn one), then reads
-/// the document list.
-Result<std::vector<StoredDocument>> OpenStore(const std::string& directory,
-                                              Env* env) {
-  XYDIFF_RETURN_IF_ERROR(RecoverRepositoryBatch(directory, env));
-  Result<std::string> manifest =
-      env->ReadFile(directory + "/" + kManifestName);
-  if (!manifest.ok()) return manifest.status();
-  std::vector<StoredDocument> documents;
-  for (std::string_view line : SplitLines(*manifest)) {
-    const size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) continue;
-    documents.push_back({directory + "/" + std::string(line.substr(0, tab)),
-                         std::string(line.substr(tab + 1))});
-  }
-  return documents;
-}
 
 /// Lock-free running maximum: raises `target` to at least `value`, for
 /// high-water marks sampled from many workers at once.
@@ -309,12 +285,6 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     const Status saved =
         SaveGroup(std::move(urls), pipeline.save_directory, pipeline.env,
                   pipeline.context, policy, &group_retries);
-    if (!saved.ok() && IsContextError(saved.code())) {
-      // The in-memory ingests stand; only persistence was cut short.
-      // Count once per group under the deadline/cancel columns so the
-      // overload report shows WHY the disk is behind.
-      count_context_error(saved);
-    }
     // The commit is shared, so its cost and its outcome are attributed
     // to every slot in the group: all-or-nothing on disk.
     store_retries.fetch_add(group_retries, std::memory_order_relaxed);
@@ -417,10 +387,9 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       }
       return false;
     }
-    if (results[i]->first_version) return false;  // No delta to store.
-
     store_items.fetch_add(1, std::memory_order_relaxed);
     IngestReport& report = *results[i];
+    // A first sight has no delta (DeltaFor(0) fails): delta_bytes stay 0.
     if (Document* stored = FindDocument(report.url); stored != nullptr) {
       MutexLock doc_lock(stored->mutex);
       if (stored->repo != nullptr) {
@@ -591,20 +560,31 @@ Status Warehouse::SaveGroup(std::vector<std::string> urls,
   return saved;
 }
 
+std::optional<std::string> Warehouse::UrlOfStoreName(
+    const std::string& name) {
+  if (name == "_") return std::string();  // The empty URL's name.
+  std::string url;
+  for (size_t i = 0; i < name.size(); ++i) {
+    unsigned int byte = static_cast<unsigned char>(name[i]);
+    if (byte == '_') {
+      // Justified discard: a malformed escape fails the round trip below.
+      (void)std::from_chars(name.data() + i + 1,
+                            name.data() + std::min(i + 3, name.size()), byte,
+                            16);
+      i += 2;
+    }
+    url += static_cast<char>(byte);
+  }
+  // SanitizeUrl is injective, so only its own output names a document:
+  // this leaves out the journal, its ".tmp" and the other reserved names.
+  if (SanitizeUrl(url) != name) return std::nullopt;
+  return url;
+}
+
 Status Warehouse::Save(const std::string& directory, Env* env) const {
   if (env == nullptr) env = Env::Default();
   XYDIFF_RETURN_IF_ERROR(env->CreateDirs(directory));
-  // The document list lands first; the commit's parent directory sync
-  // makes it durable. A listed document whose first commit did not land
-  // has no repository yet, and Load leaves it out.
-  std::vector<std::string> all = urls();
-  std::string manifest;
-  for (const std::string& url : all) {
-    manifest += SanitizeUrl(url) + "\t" + url + "\n";
-  }
-  XYDIFF_RETURN_IF_ERROR(
-      env->WriteFileAtomic(directory + "/" + kManifestName, manifest));
-  return SaveGroup(std::move(all), directory, env, /*context=*/nullptr,
+  return SaveGroup(urls(), directory, env, /*context=*/nullptr,
                    RetryPolicy{/*max_retries=*/0}, /*retries=*/nullptr);
 }
 
@@ -613,37 +593,36 @@ Result<VersionRepository> Warehouse::LoadDocument(const std::string& directory,
                                                   Env* env,
                                                   RecoveryReport* report) {
   if (env == nullptr) env = Env::Default();
-  Result<std::vector<StoredDocument>> stored = OpenStore(directory, env);
-  if (!stored.ok()) return stored.status();
-  for (const StoredDocument& document : *stored) {
-    if (document.url == url) return LoadRepository(document.path, env, report);
-  }
-  return Status::NotFound("no document '" + url + "' in warehouse " +
-                          directory);
+  XYDIFF_RETURN_IF_ERROR(RecoverRepositoryBatch(directory, env));
+  return LoadRepository(directory + "/" + SanitizeUrl(url), env, report);
 }
 
 Result<std::unique_ptr<Warehouse>> Warehouse::Load(
     const std::string& directory, DiffOptions options,
     std::vector<std::string>* skipped, Env* env) {
   if (env == nullptr) env = Env::Default();
-  Result<std::vector<StoredDocument>> stored = OpenStore(directory, env);
-  if (!stored.ok()) return stored.status();
+  XYDIFF_RETURN_IF_ERROR(RecoverRepositoryBatch(directory, env));
+  Result<std::vector<std::string>> names = env->ListDir(directory);
+  if (!names.ok()) return names.status();
   auto warehouse = std::make_unique<Warehouse>(options);
-  for (const StoredDocument& document : *stored) {
-    Result<VersionRepository> repo = LoadRepository(document.path, env);
-    // NotFound: Save listed the document, then crashed before its first
-    // commit landed, so it was never stored and is simply absent.
+  for (const std::string& name : *names) {
+    const std::optional<std::string> url = UrlOfStoreName(name);
+    if (!url.has_value()) continue;
+    Result<VersionRepository> repo =
+        LoadRepository(directory + "/" + name, env);
+    // NotFound: a commit created the directory, then crashed before it
+    // landed, so the document was never stored and is simply absent.
     if (!repo.ok() && repo.status().code() == StatusCode::kNotFound) continue;
     if (!repo.ok()) {
       // A malformed stored document loses only itself, never the batch:
       // record the error and keep loading the healthy documents.
       if (skipped != nullptr) {
-        skipped->push_back(document.url + ": " + repo.status().ToString());
+        skipped->push_back(*url + ": " + repo.status().ToString());
       }
       continue;
     }
     bool created = false;
-    Document* slot = warehouse->FindOrCreateDocument(document.url, &created);
+    Document* slot = warehouse->FindOrCreateDocument(*url, &created);
     // Uncontended (the warehouse is not yet published), but the slot's
     // contents are guarded members, so hold the lock anyway.
     MutexLock lock(slot->mutex);

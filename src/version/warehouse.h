@@ -107,12 +107,12 @@ class Warehouse {
   /// Tuning for DiffBatch.
   struct PipelineOptions {
     int threads = 4;
-    /// When non-empty, each updated document's repository is persisted
-    /// under `save_directory/<sanitized url>/` (crash-safe, see
-    /// version/storage.h) by group commit: up to kGroupCommitSlots
-    /// finished slots share ONE SaveRepositoryBatch (one journal fsync +
-    /// directory sync for the whole group), and the partial tail group
-    /// is flushed once after every slot has finished.
+    /// When non-empty, every ingested slot's repository (a first sight
+    /// as version 1) is group-committed under `save_directory/<sanitized
+    /// url>/` (crash-safe, see version/storage.h): up to
+    /// kGroupCommitSlots finished slots share ONE SaveRepositoryBatch (one
+    /// journal fsync + directory sync), the partial tail group is flushed
+    /// after every slot has finished, and Load reopens it, no Save needed.
     std::string save_directory;
     /// Env for the group commit; nullptr means Env::Default().
     Env* env = nullptr;
@@ -133,9 +133,10 @@ class Warehouse {
     /// long loops, and in the group commit up to (never past) its
     /// journal write. Slots that the context kills come
     /// back as kDeadlineExceeded/kCancelled; slots whose in-memory
-    /// ingest finished but whose group save was cut short are reported
-    /// degraded (in memory yes, on disk no — the journal is the single
-    /// commit point, so disk is bit-exactly pre-batch for them).
+    /// ingest finished but whose group save was cut short are ok() and
+    /// reported degraded, not counted as deadline/cancelled (in memory
+    /// yes, on disk no — the journal is the single commit point, so
+    /// disk is bit-exactly pre-batch for them).
     const Context* context = nullptr;
     /// Admission budget: cumulative raw-XML bytes admitted per DiffBatch
     /// call. Once spent, remaining slots are SHED with
@@ -161,8 +162,8 @@ class Warehouse {
   /// Ingests a crawled version of `url`: first sight stores it as
   /// version 1; later sights run the diff pipeline. Every ingest path
   /// refuses with InvalidArgument, before creating any state, a URL with
-  /// a line break (one manifest line per document) or one whose store
-  /// directory name, with a ".tmp" suffix, would pass 255 bytes.
+  /// a line break (no valid URL holds one) or one whose store directory
+  /// name, with a ".tmp" suffix, would pass 255 bytes.
   Result<IngestReport> Ingest(const std::string& url, XmlDocument document);
 
   /// Ingests many pre-parsed documents concurrently on up to `threads`
@@ -215,13 +216,14 @@ class Warehouse {
   /// Persists every document's repository under `directory/<escaped
   /// url>/` in ONE group commit, holding every document lock for its
   /// length: after a crash, Load sees every document as of the previous
-  /// save or every one as of this one.
-  /// Subscriptions, statistics and the index are derived state and are
-  /// not saved. All I/O goes through `env` (nullptr means
+  /// save or every one as of this one. The directory names are the
+  /// document list. Subscriptions, statistics and the index are derived
+  /// state and are not saved. All I/O goes through `env` (nullptr means
   /// Env::Default()).
   Status Save(const std::string& directory, Env* env = nullptr) const;
 
-  /// Loads a warehouse persisted by Save. Subscriptions must be
+  /// Loads a warehouse persisted by Save or DiffBatch group commits: each
+  /// directory named by SanitizeUrl is a document. Subscriptions must be
   /// re-registered by the caller; statistics start empty and count only
   /// later ingests; a document's full-text index is built by the first
   /// Search.
@@ -229,16 +231,17 @@ class Warehouse {
   /// repository self-heals where it can (quarantining corrupt tails —
   /// see LoadRepository), and one that is beyond recovery is skipped
   /// with its error recorded in `skipped` (when non-null), so one
-  /// truncated file cannot take down the warehouse. A listed document
-  /// whose directory holds no repository (a crashed Save listed it
-  /// before its first commit landed) loads as absent, not skipped.
+  /// truncated file cannot take down the warehouse. A document
+  /// directory that holds no repository (a crashed commit created it
+  /// before landing) loads as absent, not skipped.
   /// (Returned by pointer: the warehouse owns mutexes and cannot move.)
   static Result<std::unique_ptr<Warehouse>> Load(
       const std::string& directory, DiffOptions options = {},
       std::vector<std::string>* skipped = nullptr, Env* env = nullptr);
 
   /// Loads one document's repository, looked up by URL, from a store
-  /// written by Save, as Load would; `report` as in LoadRepository.
+  /// that Load reads, as Load would; `report` as in LoadRepository. An
+  /// unknown URL is NotFound.
   static Result<VersionRepository> LoadDocument(
       const std::string& directory, const std::string& url,
       Env* env = nullptr, RecoveryReport* report = nullptr);
@@ -271,7 +274,13 @@ class Warehouse {
   /// any other byte (and a leading '.') becomes '_' plus two hex digits.
   /// A name that would collide with a store-level file (`manifest.tsv`,
   /// `BATCH-COMMIT`, or either with `.tmp`) has its first byte escaped.
+  /// `manifest.tsv`, the document list older releases wrote, stays
+  /// reserved so every name they wrote keeps its URL.
   static std::string SanitizeUrl(const std::string& url);
+
+  /// The URL whose SanitizeUrl is `name`, or nullopt when there is none
+  /// (a store-level file, or a name SanitizeUrl never produces).
+  static std::optional<std::string> UrlOfStoreName(const std::string& name);
 
   /// Group-commits the repositories of `urls` (distinct) under
   /// `directory` in ONE SaveRepositoryBatch, retried under `policy`,
@@ -286,7 +295,7 @@ class Warehouse {
   /// The one ingest body behind Ingest and DiffBatch: commits the
   /// version, then feeds its delta to the alerter, the statistics and
   /// the full-text index (when one has been built). A URL holding a line
-  /// break is rejected: the store's manifest is one line per document.
+  /// break is rejected as invalid input: no valid URL holds one.
   Result<IngestReport> IngestInternal(const std::string& url,
                                       XmlDocument document,
                                       const Context* context = nullptr);

@@ -638,8 +638,8 @@ TEST_F(FaultInjectionTest, WarehouseSaveCrashAtEveryOperationIsAllOrNothing) {
   }
 
   // Two crash models: a power loss drops every unsynced write; a process
-  // crash keeps them all, so the document list, written before the
-  // commit, can outlive a commit that never landed.
+  // crash keeps them all, so the new document's directory, created
+  // before the commit, can outlive a commit that never landed.
   for (const bool power_loss : {true, false}) {
     int op = 0;
     for (; op < 10000; ++op) {
@@ -667,8 +667,8 @@ TEST_F(FaultInjectionTest, WarehouseSaveCrashAtEveryOperationIsAllOrNothing) {
       ExpectAllPreOrAllPost(sigs, sig_before, sig_after, saved.ok());
       if (!triggered) break;
     }
-    // Four documents plus the document list and the journal: far more
-    // ops than one repository's save.
+    // Four documents plus the journal: far more ops than one
+    // repository's save.
     EXPECT_GT(op, 20);
     EXPECT_LT(op, 10000);
   }

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -92,7 +93,9 @@ TEST_F(FuzzTest, OraclesPassOnFriendlyTrials) {
 }
 
 // With a scratch directory, the configuration oracle also takes the
-// 4-thread DiffBatch warehouse through Save and Load.
+// 4-thread DiffBatch warehouse through Save and Load, and reopens the
+// store its group commits wrote, with no Save. Each store is its
+// document directories: one per URL, and no document list.
 TEST_F(FuzzTest, ConfigurationOracleRoundTripsThroughAStore) {
   const FuzzProfile* profile = FindFuzzProfile("paper-default");
   ASSERT_NE(profile, nullptr);
@@ -103,7 +106,18 @@ TEST_F(FuzzTest, ConfigurationOracleRoundTripsThroughAStore) {
     const OracleReport report = CheckTrialOracles(trial, {}, scratch);
     EXPECT_TRUE(report.ok())
         << trial.ReproLine() << ": " << report.ToString();
-    EXPECT_TRUE(fs::exists(scratch + "/manifest.tsv")) << scratch;
+    for (const std::string& store : {scratch, scratch + "/group"}) {
+      std::set<std::string> documents;
+      for (const fs::directory_entry& entry : fs::directory_iterator(store)) {
+        EXPECT_TRUE(entry.is_directory()) << entry.path();
+        documents.insert(entry.path().filename().string());
+      }
+      documents.erase("group");  // The group-commit store, inside Save's.
+      EXPECT_EQ(documents,
+                (std::set<std::string>{"doc0", "doc1", "doc2", "doc3"}))
+          << store;
+      EXPECT_FALSE(fs::exists(store + "/manifest.tsv")) << store;
+    }
   }
 }
 

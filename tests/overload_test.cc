@@ -1,8 +1,9 @@
 // Overload and degradation behaviour of the warehouse pipeline
 // (DESIGN.md §3.17): admission control sheds slots against byte
 // budgets, a dead context fails slots with kDeadlineExceeded /
-// kCancelled without touching the store, and persistent store IOError
-// degrades only the failed slots' persistence — ingests and reads go on.
+// kCancelled without touching the store, and persistent store IOError or
+// a group commit cut short degrades only the failed slots' persistence —
+// ingests and reads go on.
 
 #include <chrono>
 #include <filesystem>
@@ -172,9 +173,7 @@ TEST_F(OverloadStoreTest, PersistentStoreIOErrorLeavesIngestsAndReadsStanding) {
   // is the tail group, so both group-commit paths meet the failing env.
   constexpr size_t kDocs = 9;
 
-  // Round 1: version 1 everywhere — first-sight slots are not
-  // persisted, so this round succeeds even though the env will later
-  // fail.
+  // Round 1: version 1 everywhere, persisted while the env still works.
   for (const auto& r : warehouse.DiffBatch(MakeJobs(kDocs, 1), pipeline)) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
@@ -198,6 +197,49 @@ TEST_F(OverloadStoreTest, PersistentStoreIOErrorLeavesIngestsAndReadsStanding) {
   Result<XmlDocument> doc = ParseXml(SmallDoc(9, 1));
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(warehouse.Ingest("newdoc", std::move(*doc)).ok());
+}
+
+// A group commit that the context cuts short takes nothing back: every
+// slot's in-memory ingest stands, so the slots come back ok() and
+// degraded, and none is counted as cancelled — cancelled_slots still
+// counts exactly the kCancelled results.
+TEST_F(OverloadStoreTest, CutShortGroupCommitDegradesSlotsAndCountsNone) {
+  Warehouse warehouse;
+  constexpr size_t kDocs = 3;
+  for (const Warehouse::DiffJob& job : MakeJobs(kDocs, 1)) {
+    Result<XmlDocument> doc = ParseXml(job.xml);
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE(warehouse.Ingest(job.url, std::move(*doc)).ok());
+  }
+
+  FaultInjectionEnv env;
+  CancellationSource source;
+  env.CancelAt(0, source);  // The save's first env op cancels the batch.
+  const Context ctx = source.MakeContext();
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 1;
+  pipeline.save_directory = Dir();
+  pipeline.env = &env;
+  pipeline.context = &ctx;
+  PipelineStats stats;
+  const auto reports =
+      warehouse.DiffBatch(MakeJobs(kDocs, 2), pipeline, &stats);
+  ASSERT_TRUE(source.cancelled());
+  ASSERT_EQ(reports.size(), kDocs);
+  size_t cancelled = 0;
+  for (const auto& r : reports) {
+    if (r.ok()) {
+      EXPECT_TRUE(r->store_degraded) << r->url;
+      continue;
+    }
+    if (r.status().code() == StatusCode::kCancelled) ++cancelled;
+    ADD_FAILURE() << r.status().ToString();
+  }
+  EXPECT_EQ(stats.cancelled_slots, cancelled);
+  EXPECT_EQ(cancelled, 0u);
+  EXPECT_EQ(stats.deadline_slots, 0u);
+  EXPECT_EQ(stats.degraded_slots, kDocs);
+  EXPECT_EQ(warehouse.version_count("doc0"), 2);
 }
 
 TEST(OverloadTest, DefaultOptionsImposeNoLimits) {

@@ -131,37 +131,5 @@ TEST(SiteDiffTest, EmptySnapshotRejected) {
   EXPECT_FALSE(DiffSites(&a, &b).ok());
 }
 
-// Batch driver: many snapshot pairs diffed concurrently, each parsed
-// into its own arenas. Results match the sequential API slot for slot,
-// regardless of thread count, and a malformed pair fails alone.
-TEST(SiteDiffTest, BatchMatchesSequentialAndIsolatesFailures) {
-  std::vector<SiteDiffJob> jobs;
-  for (int i = 0; i < 12; ++i) {
-    const std::string id = std::to_string(i);
-    jobs.push_back(
-        {"<site><page url=\"/p" + id + "\"><title>old " + id +
-             "</title></page></site>",
-         "<site><page url=\"/p" + id + "\"><title>new " + id +
-             "</title></page><page url=\"/extra\"><title>x</title></page>"
-             "</site>"});
-  }
-  jobs.push_back({"<site><broken", "<site/>"});
-
-  for (int threads : {1, 4, 8}) {
-    auto results = DiffSitesBatch(jobs, threads);
-    ASSERT_EQ(results.size(), jobs.size());
-    for (size_t i = 0; i + 1 < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok())
-          << "threads=" << threads << " slot " << i << ": "
-          << results[i].status().ToString();
-      EXPECT_EQ(results[i]->pages_added, 1u);
-      EXPECT_EQ(results[i]->pages_modified, 1u);
-      EXPECT_EQ(results[i]->pages_old, 1u);
-      EXPECT_EQ(results[i]->pages_new, 2u);
-    }
-    EXPECT_FALSE(results.back().ok()) << "threads=" << threads;
-  }
-}
-
 }  // namespace
 }  // namespace xydiff

@@ -325,52 +325,154 @@ TEST(WarehouseTest, GroupCommitPersistsEveryDocument) {
 // Regression: the directory name of a URL used to replace every byte
 // outside [A-Za-z0-9.-] with '_', so "a?b" and "a_b" shared one
 // repository and Save silently kept only the second. A DiffBatch group
-// holding both failed with "duplicate batch slot".
+// holding both failed with "duplicate batch slot". The empty URL (whose
+// directory is "_") and a URL of high bytes must come back too.
 TEST(WarehouseTest, UrlsDifferingInEscapedBytesKeepTheirOwnRepository) {
   const fs::path dir = fs::temp_directory_path() /
                        ("xydiff_url_names_test_" + std::to_string(::getpid()));
   fs::remove_all(dir);
-  const std::string question = "http://x.com/a?b";
-  const std::string underscore = "http://x.com/a_b";
+  const std::vector<std::pair<std::string, std::string>> documents = {
+      {"http://x.com/a?b", "first"},
+      {"http://x.com/a_b", "second"},
+      {"", "empty"},
+      {"http://x.com/\xc3\xa9t\xc3\xa9", "accented"}};
 
   Warehouse warehouse;
-  ASSERT_TRUE(
-      warehouse.Ingest(question, MustParse("<r><b>first</b></r>")).ok());
-  ASSERT_TRUE(
-      warehouse.Ingest(underscore, MustParse("<r><b>second</b></r>")).ok());
+  for (const auto& [url, text] : documents) {
+    ASSERT_TRUE(
+        warehouse.Ingest(url, MustParse("<r><b>" + text + "</b></r>")).ok())
+        << url;
+  }
   XY_ASSERT_OK(warehouse.Save(dir.string()));
   Result<std::unique_ptr<Warehouse>> loaded = Warehouse::Load(dir.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ((*loaded)->document_count(), 2u);
-  for (const auto& [url, text] :
-       {std::pair<std::string, std::string>{question, "first"},
-        std::pair<std::string, std::string>{underscore, "second"}}) {
+  ASSERT_EQ((*loaded)->document_count(), documents.size());
+  for (const auto& [url, text] : documents) {
     Result<XmlDocument> doc = (*loaded)->Checkout(url, 1);
     ASSERT_TRUE(doc.ok()) << url << ": " << doc.status().ToString();
     EXPECT_EQ(doc->root()->child(0)->child(0)->text(), text) << url;
   }
 
-  // Both URLs in one DiffBatch group commit.
+  // Every URL in one DiffBatch group commit.
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 1;
   pipeline.save_directory = dir.string();
   std::vector<Warehouse::DiffJob> jobs;
-  jobs.push_back({question, "<r><b>first, again</b></r>"});
-  jobs.push_back({underscore, "<r><b>second, again</b></r>"});
+  for (const auto& [url, text] : documents) {
+    jobs.push_back({url, "<r><b>" + text + ", again</b></r>"});
+  }
   for (const auto& r : warehouse.DiffBatch(std::move(jobs), pipeline)) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_FALSE(r->store_degraded) << r->url;
   }
-  for (const auto& [url, text] :
-       {std::pair<std::string, std::string>{question, "first, again"},
-        std::pair<std::string, std::string>{underscore, "second, again"}}) {
+  for (const auto& [url, text] : documents) {
     Result<VersionRepository> repo =
         Warehouse::LoadDocument(dir.string(), url);
     ASSERT_TRUE(repo.ok()) << url << ": " << repo.status().ToString();
     ASSERT_EQ(repo->version_count(), 2) << url;
-    EXPECT_EQ(repo->current().root()->child(0)->child(0)->text(), text)
+    EXPECT_EQ(repo->current().root()->child(0)->child(0)->text(),
+              text + ", again")
         << url;
   }
+  fs::remove_all(dir);
+}
+
+// Regression: only Save wrote the store's document list, so a store
+// written by DiffBatch group commits alone did not reopen (NotFound for
+// the list), and a URL that DiffBatch first stored after a Save was on
+// disk but missing from Load. The directory names are the list now, and
+// DiffBatch stores first sights too.
+TEST(WarehouseTest, DiffBatchStoreReopensWithoutSave) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xydiff_diffbatch_store_test_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::vector<std::string> urls = {"http://x.com/a", "http://x.com/b?c",
+                                         "doc"};
+  Warehouse warehouse;
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  pipeline.save_directory = dir.string();
+  for (const char* week : {"one", "two"}) {
+    std::vector<Warehouse::DiffJob> jobs;
+    for (const std::string& url : urls) {
+      jobs.push_back({url, "<d><t>" + url + " week " + week + "</t></d>"});
+    }
+    for (const auto& r : warehouse.DiffBatch(std::move(jobs), pipeline)) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r->store_degraded) << r->url;
+    }
+  }
+
+  std::vector<std::string> skipped;
+  Result<std::unique_ptr<Warehouse>> loaded =
+      Warehouse::Load(dir.string(), DiffOptions{}, &skipped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(skipped.empty()) << skipped.front();
+  ASSERT_EQ((*loaded)->document_count(), urls.size());
+  for (const std::string& url : urls) {
+    ASSERT_EQ((*loaded)->version_count(url), 2) << url;
+    for (int version = 1; version <= 2; ++version) {
+      Result<XmlDocument> stored = (*loaded)->Checkout(url, version);
+      Result<XmlDocument> live = warehouse.Checkout(url, version);
+      ASSERT_TRUE(stored.ok()) << url << ": " << stored.status().ToString();
+      ASSERT_TRUE(live.ok()) << url << ": " << live.status().ToString();
+      EXPECT_TRUE(DocsEqualWithXids(*stored, *live)) << url << " v"
+                                                     << version;
+    }
+  }
+
+  // A URL that DiffBatch first sees after a Save is stored as version 1.
+  XY_ASSERT_OK(warehouse.Save(dir.string()));
+  const std::string late = "http://x.com/late";
+  for (const auto& r :
+       warehouse.DiffBatch({{late, "<d><t>late week one</t></d>"}},
+                           pipeline)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->first_version);
+    EXPECT_FALSE(r->store_degraded);
+    EXPECT_EQ(r->delta_bytes, 0u);
+  }
+  loaded = Warehouse::Load(dir.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->document_count(), urls.size() + 1);
+  ASSERT_EQ((*loaded)->version_count(late), 1);
+  Result<XmlDocument> doc = (*loaded)->Checkout(late, 1);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->root()->child(0)->child(0)->text(), "late week one");
+  fs::remove_all(dir);
+}
+
+// Stores written by older releases hold a manifest.tsv document list
+// beside the document directories, and a crash may leave a journal's
+// ".tmp" behind. Neither is a document: the stale list (here naming one
+// document of two) is never read, and Load skips nothing.
+TEST(WarehouseTest, StoreWithLegacyDocumentListLoads) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xydiff_legacy_list_test_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  Warehouse warehouse;
+  ASSERT_TRUE(
+      warehouse.Ingest("http://x.com/a", MustParse("<d><t>a</t></d>")).ok());
+  ASSERT_TRUE(
+      warehouse.Ingest("http://x.com/b", MustParse("<d><t>b</t></d>")).ok());
+  XY_ASSERT_OK(warehouse.Save(dir.string()));
+  {
+    std::ofstream list(dir / "manifest.tsv");
+    list << "http_3a_2f_2fx.com_2fa\thttp://x.com/a\n";
+    std::ofstream journal(dir / "BATCH-COMMIT.tmp");
+    journal << "xydiff-batch 1\nslot torn";
+  }
+
+  std::vector<std::string> skipped;
+  Result<std::unique_ptr<Warehouse>> loaded =
+      Warehouse::Load(dir.string(), DiffOptions{}, &skipped);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(skipped.empty()) << skipped.front();
+  EXPECT_EQ((*loaded)->urls(),
+            (std::vector<std::string>{"http://x.com/a", "http://x.com/b"}));
+  EXPECT_TRUE(fs::exists(dir / "manifest.tsv"));  // Left as it was.
   fs::remove_all(dir);
 }
 
@@ -415,8 +517,8 @@ TEST(WarehouseTest, UrlsNamedLikeStoreFilesKeepTheirOwnRepository) {
   fs::remove_all(dir);
 }
 
-// Save writes one manifest line per document, so a URL with a line break
-// is refused on every ingest path before it reaches the warehouse.
+// No valid URL holds a line break, so such a URL is refused as invalid
+// input on every ingest path before it reaches the warehouse.
 TEST(WarehouseTest, UrlWithLineBreakRejected) {
   Warehouse warehouse;
   for (const std::string url : {"http://a/\nb", "http://a/\rb"}) {

@@ -8,9 +8,9 @@
 #                                         # -fanalyzer on GCC) + its
 #                                         # ctest suite
 #   tools/run_static_analysis.sh --ctest  # fast pass for tier-1 ctest:
-#                                         # xylint + clang-tidy + xyverify
-#                                         # (no recursive
-#                                         # build-inside-build)
+#                                         # xylint + clang-tidy (xyverify
+#                                         # is its own ctest, static_arch;
+#                                         # no build-inside-build)
 #
 # xyverify options (forwarded to tools/xyverify):
 #   --json              emit SARIF JSON from the xyverify stage
@@ -66,15 +66,15 @@ else
   echo "SKIP: clang-tidy or build/compile_commands.json not found"
 fi
 
-echo "== xyverify (layering, lock order, arena escape) =="
-if command -v python3 >/dev/null 2>&1; then
-  # shellcheck disable=SC2086  # word-splitting the flag list is intended
-  python3 -m tools.xyverify --stats $xyverify_args || fail=1
-else
-  echo "SKIP: python3 not found"
-fi
-
 if [ "$ctest_mode" -eq 0 ]; then
+  echo "== xyverify (layering, lock order, arena escape) =="
+  if command -v python3 >/dev/null 2>&1; then
+    # shellcheck disable=SC2086  # word-splitting the flag list is intended
+    python3 -m tools.xyverify --stats $xyverify_args || fail=1
+  else
+    echo "SKIP: python3 not found"
+  fi
+
   echo "== analyze build (-Werror; -Wthread-safety under Clang, -fanalyzer under GCC) =="
   cmake --preset analyze >/dev/null
   cmake --build --preset analyze -j "$(nproc 2>/dev/null || echo 4)" || fail=1
