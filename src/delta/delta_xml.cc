@@ -141,6 +141,84 @@ Result<AttributeOp> ParseAttrOp(const XmlNode& node, AttributeOpKind kind) {
   return op;
 }
 
+// Byte counting for SerializedDeltaSize: the sizes of the elements
+// DeltaToXml builds, as the compact serializer writes them.
+
+size_t DecimalDigits(uint64_t value) {
+  size_t digits = 1;
+  for (; value >= 10; value /= 10) ++digits;
+  return digits;
+}
+
+/// ` name="value"` with the value already measured.
+size_t AttrSize(std::string_view name, size_t value_size) {
+  return name.size() + value_size + 4;
+}
+
+size_t AttrSize(std::string_view name, std::string_view value) {
+  return AttrSize(name, EscapedAttributeSize(value));
+}
+
+size_t NumberAttrSize(std::string_view name, uint64_t value) {
+  return AttrSize(name, DecimalDigits(value));
+}
+
+/// `<label attrs/>` when childless, else `<label attrs>content</label>`.
+size_t ElementSize(std::string_view label, size_t attrs, bool has_children,
+                   size_t content) {
+  if (!has_children) return label.size() + attrs + 3;
+  return 2 * label.size() + attrs + content + 5;
+}
+
+/// Length of XidMap::ToString() for the subtree's postorder XIDs:
+/// "(" runs joined by ";" ")", a run being "a" or "a-b".
+class XidMapTextSize {
+ public:
+  explicit XidMapTextSize(const XmlNode& subtree) { Visit(subtree); }
+
+  size_t size() const {
+    return 2 + bytes_ + RunSize() + (runs_ > 0 ? runs_ - 1 : 0);
+  }
+
+ private:
+  void Visit(const XmlNode& node) {
+    for (size_t i = 0; i < node.child_count(); ++i) Visit(*node.child(i));
+    const Xid xid = node.xid();
+    if (runs_ > 0 && xid == last_ + 1) {
+      last_ = xid;
+      return;
+    }
+    bytes_ += RunSize();  // Closes the previous run.
+    ++runs_;
+    first_ = last_ = xid;
+  }
+
+  size_t RunSize() const {
+    if (runs_ == 0) return 0;
+    return DecimalDigits(first_) +
+           (last_ == first_ ? 0 : 1 + DecimalDigits(last_));
+  }
+
+  size_t runs_ = 0;
+  size_t bytes_ = 0;  // Every run before the open one.
+  Xid first_ = kNoXid;
+  Xid last_ = kNoXid;
+};
+
+size_t SnapshotOpSize(std::string_view label, Xid xid, Xid parent_xid,
+                      uint32_t pos, const XmlNode* subtree) {
+  size_t attrs = NumberAttrSize("xid", xid) +
+                 NumberAttrSize("parentXid", parent_xid) +
+                 NumberAttrSize("pos", pos);
+  if (subtree == nullptr) return ElementSize(label, attrs, false, 0);
+  attrs += AttrSize("xidMap", XidMapTextSize(*subtree).size());
+  return ElementSize(label, attrs, true, SerializedNodeSize(*subtree));
+}
+
+size_t UpdateValueSize(std::string_view label, std::string_view value) {
+  return ElementSize(label, 0, !value.empty(), EscapedTextSize(value));
+}
+
 }  // namespace
 
 XmlDocument DeltaToXml(const Delta& delta) {
@@ -243,6 +321,59 @@ std::string SerializeDelta(const Delta& delta, bool pretty) {
   out += root.label();
   out += ">\n";
   return out;
+}
+
+size_t SerializedDeltaSize(const Delta& delta) {
+  size_t content = 0;
+  for (const DeleteOp& op : delta.deletes()) {
+    content += SnapshotOpSize(kDeleteLabel, op.xid, op.parent_xid, op.pos,
+                              op.subtree.get());
+  }
+  for (const InsertOp& op : delta.inserts()) {
+    content += SnapshotOpSize(kInsertLabel, op.xid, op.parent_xid, op.pos,
+                              op.subtree.get());
+  }
+  for (const MoveOp& op : delta.moves()) {
+    content += ElementSize(kMoveLabel,
+                           NumberAttrSize("xid", op.xid) +
+                               NumberAttrSize("fromParent", op.from_parent) +
+                               NumberAttrSize("fromPos", op.from_pos) +
+                               NumberAttrSize("toParent", op.to_parent) +
+                               NumberAttrSize("toPos", op.to_pos),
+                           false, 0);
+  }
+  for (const UpdateOp& op : delta.updates()) {
+    size_t attrs = NumberAttrSize("xid", op.xid);
+    if (op.prefix != 0) attrs += NumberAttrSize("prefix", op.prefix);
+    if (op.suffix != 0) attrs += NumberAttrSize("suffix", op.suffix);
+    content += ElementSize(kUpdateLabel, attrs, true,
+                           UpdateValueSize(kOldLabel, op.old_value) +
+                               UpdateValueSize(kNewLabel, op.new_value));
+  }
+  for (const AttributeOp& op : delta.attribute_ops()) {
+    size_t attrs =
+        NumberAttrSize("xid", op.element_xid) + AttrSize("name", op.name);
+    std::string_view label;
+    switch (op.kind) {
+      case AttributeOpKind::kInsert:
+        label = kAttrInsertLabel;
+        attrs += AttrSize("value", op.new_value);
+        break;
+      case AttributeOpKind::kDelete:
+        label = kAttrDeleteLabel;
+        attrs += AttrSize("value", op.old_value);
+        break;
+      case AttributeOpKind::kUpdate:
+        label = kAttrUpdateLabel;
+        attrs += AttrSize("old", op.old_value) + AttrSize("new", op.new_value);
+        break;
+    }
+    content += ElementSize(label, attrs, false, 0);
+  }
+  const size_t root_attrs = NumberAttrSize("oldNextXid", delta.old_next_xid()) +
+                            NumberAttrSize("newNextXid", delta.new_next_xid());
+  return ElementSize(kDeltaLabel, root_attrs, delta.operation_count() > 0,
+                     content);
 }
 
 Result<Delta> DeltaFromXml(const XmlDocument& doc) {

@@ -34,6 +34,11 @@ XmlDocument DeltaToXml(const Delta& delta);
 /// round-trips exactly through ParseDelta.
 std::string SerializeDelta(const Delta& delta, bool pretty = false);
 
+/// Exactly SerializeDelta(delta).size(), counted from the operations —
+/// escapes, digits and XID-map runs — without building the XML tree,
+/// cloning a snapshot or producing the text.
+size_t SerializedDeltaSize(const Delta& delta);
+
 /// Reconstructs a delta from its XML document form.
 Result<Delta> DeltaFromXml(const XmlDocument& doc);
 

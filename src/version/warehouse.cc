@@ -192,6 +192,7 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   Result<const Delta*> delta = doc->repo->DeltaFor(*version - 1);
   if (!delta.ok()) return delta.status();
   report.operations = (*delta)->operation_count();
+  report.delta_bytes = SerializedDeltaSize(**delta);
 
   // Resolve the delta's nodes once; index, alerter, and statistics all
   // consume the same DeltaNodeIndex instead of each rebuilding an O(n)
@@ -247,10 +248,8 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   std::atomic<size_t> store_items{0}, store_failed{0}, store_retries{0};
   std::atomic<size_t> degraded_slots{0};
   std::atomic<bool> batch_failed{false};
-  // Overload accounting: slots declined or abandoned, by cause.
-  std::atomic<size_t> shed_count{0}, deadline_count{0}, cancelled_count{0};
-  // Byte budget spent by admitted slots (admission control).
-  std::atomic<size_t> admitted_bytes{0};
+  // Overload accounting: slots abandoned to the context, by cause.
+  std::atomic<size_t> deadline_count{0}, cancelled_count{0};
   // Flush-group ordinal, salting the retry jitter stream per group.
   std::atomic<uint64_t> flush_ordinal{0};
 
@@ -302,10 +301,42 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     in_flight.fetch_sub(group.size(), std::memory_order_relaxed);
   };
 
-  // Admission control (DESIGN.md §3.17), checked when a worker claims
-  // the slot and before it consumes any resources. A non-OK status is
-  // the slot's rejection.
-  const auto admission = [&](size_t i) -> Status {
+  // Byte budgets (DESIGN.md §3.17), decided in index order before any
+  // worker starts, so the shed set depends on the jobs alone: the
+  // per-document cap first, then the greedy batch budget, where a shed
+  // slot leaves its bytes to a smaller later one.
+  size_t shed_count = 0;
+  size_t admitted_bytes = 0;
+  std::vector<size_t> claim_order;
+  claim_order.reserve(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (IsDuplicateSlot(results[i])) continue;
+    const size_t slot_bytes = jobs[i].xml.size();
+    if (pipeline.max_document_bytes != 0 &&
+        slot_bytes > pipeline.max_document_bytes) {
+      results[i] = Status::ResourceExhausted(
+          "document exceeds max_document_bytes, shed: " + jobs[i].url);
+      ++shed_count;
+    } else if (pipeline.max_batch_bytes != 0 &&
+               slot_bytes > pipeline.max_batch_bytes - admitted_bytes) {
+      results[i] = Status::ResourceExhausted(
+          "batch byte budget exhausted, slot shed: " + jobs[i].url);
+      ++shed_count;
+    } else {
+      admitted_bytes += slot_bytes;
+      claim_order.push_back(i);
+    }
+  }
+  // Largest documents first, ties in index order: a large document
+  // claimed last would leave the other workers idle behind it.
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&](size_t a, size_t b) {
+                     return jobs[a].xml.size() > jobs[b].xml.size();
+                   });
+
+  // The claim-time gates, checked before the slot consumes anything. A
+  // non-OK status is the slot's rejection.
+  const auto admission = [&]() -> Status {
     if (pipeline.fail_fast && batch_failed.load(std::memory_order_acquire)) {
       // Not a failure of this slot's own making: Aborted, so callers can
       // tell "skipped by fail-fast" from real errors.
@@ -319,31 +350,13 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
         return live;
       }
     }
-    const size_t slot_bytes = jobs[i].xml.size();
-    if (pipeline.max_document_bytes != 0 &&
-        slot_bytes > pipeline.max_document_bytes) {
-      shed_count.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "document exceeds max_document_bytes, shed: " + jobs[i].url);
-    }
-    if (pipeline.max_batch_bytes != 0) {
-      const size_t before =
-          admitted_bytes.fetch_add(slot_bytes, std::memory_order_relaxed);
-      if (before + slot_bytes > pipeline.max_batch_bytes) {
-        // Give the reservation back so a smaller later slot may fit.
-        admitted_bytes.fetch_sub(slot_bytes, std::memory_order_relaxed);
-        shed_count.fetch_add(1, std::memory_order_relaxed);
-        return Status::ResourceExhausted(
-            "batch byte budget exhausted, slot shed: " + jobs[i].url);
-      }
-    }
     return Status::OK();
   };
 
-  // One admitted slot, start to finish: parse → diff → delta accounting
-  // → park for group commit. True when the slot was parked — it stays in
-  // flight until its group flushes. A parse or diff error fails only
-  // this slot, and arms fail-fast.
+  // One admitted slot, start to finish: parse → diff → park for group
+  // commit. True when the slot was parked — it stays in flight until its
+  // group flushes. A parse or diff error fails only this slot, and arms
+  // fail-fast.
   const auto run_admitted = [&](size_t i) {
     parse_items.fetch_add(1, std::memory_order_relaxed);
     // A recycled arena keeps its largest block, so steady-state slots
@@ -388,15 +401,6 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
       return false;
     }
     store_items.fetch_add(1, std::memory_order_relaxed);
-    IngestReport& report = *results[i];
-    // A first sight has no delta (DeltaFor(0) fails): delta_bytes stay 0.
-    if (Document* stored = FindDocument(report.url); stored != nullptr) {
-      MutexLock doc_lock(stored->mutex);
-      if (stored->repo != nullptr) {
-        Result<const Delta*> delta = stored->repo->DeltaFor(report.version - 1);
-        if (delta.ok()) report.delta_bytes = SerializeDelta(**delta).size();
-      }
-    }
     if (pipeline.save_directory.empty()) return false;
     std::vector<size_t> full;
     {
@@ -408,9 +412,9 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     return true;
   };
 
-  ParallelFor(pipeline.threads, jobs.size(), [&](size_t i) {
-    if (IsDuplicateSlot(results[i])) return;
-    if (Status admitted = admission(i); !admitted.ok()) {
+  ParallelFor(pipeline.threads, claim_order.size(), [&](size_t k) {
+    const size_t i = claim_order[k];
+    if (Status admitted = admission(); !admitted.ok()) {
       results[i] = std::move(admitted);
       return;
     }
@@ -430,7 +434,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
                    store_retries.load()}};
     stats->peak_in_flight = peak_in_flight.load();
     stats->degraded_slots = degraded_slots.load();
-    stats->shed_slots = shed_count.load();
+    stats->shed_slots = shed_count;
     stats->deadline_slots = deadline_count.load();
     stats->cancelled_slots = cancelled_count.load();
     stats->wall_seconds =

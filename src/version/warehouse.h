@@ -89,7 +89,9 @@ class Warehouse {
     int version = 0;          ///< Version number after the ingest.
     bool first_version = false;
     size_t operations = 0;    ///< Delta operations (0 for first versions).
-    size_t delta_bytes = 0;   ///< Serialized delta size (DiffBatch only).
+    size_t delta_bytes = 0;   ///< Size of the delta's XML form
+                              ///< (SerializedDeltaSize: counted, never
+                              ///< serialized); 0 for first versions.
     size_t store_retries = 0; ///< Transient-I/O retries spent persisting.
     bool store_degraded = false;  ///< Persistence gave up after retries:
                                   ///< the in-memory ingest succeeded but
@@ -139,9 +141,11 @@ class Warehouse {
     /// disk is bit-exactly pre-batch for them).
     const Context* context = nullptr;
     /// Admission budget: cumulative raw-XML bytes admitted per DiffBatch
-    /// call. Once spent, remaining slots are SHED with
-    /// kResourceExhausted instead of queued (overload sheds at the front
-    /// door, it does not build unbounded backlog). 0 = unlimited.
+    /// call, granted greedily in input order before any slot runs. A
+    /// slot that does not fit is SHED with kResourceExhausted instead of
+    /// queued (overload sheds at the front door, it does not build
+    /// unbounded backlog); a smaller later slot may still fit. 0 =
+    /// unlimited.
     size_t max_batch_bytes = 0;
     /// Per-document byte cap: a single oversized (possibly hostile)
     /// document is shed with kResourceExhausted before it can balloon a
@@ -174,13 +178,16 @@ class Warehouse {
   std::vector<Result<IngestReport>> IngestBatch(
       std::vector<std::pair<std::string, XmlDocument>> batch, int threads = 4);
 
-  /// Diffs a batch of raw crawled documents. Up to `pipeline.threads`
-  /// ParallelFor workers claim slots in input order, and each slot runs
-  /// to completion on its worker: admission → parse into a pooled arena
-  /// → diff and chain append, feeding the alerter, the statistics and
-  /// (once a Search has built it) the full-text index exactly as
-  /// Ingest() does → account delta_bytes → park for group commit. At most
-  /// `threads` parsed documents are in memory at once.
+  /// Diffs a batch of raw crawled documents. The byte budgets are
+  /// decided in input order before any worker starts. Up to
+  /// `pipeline.threads` ParallelFor workers then claim the admitted slots
+  /// largest document first (ties in input order), so no worker idles
+  /// behind a large document claimed last. Each slot runs to completion
+  /// on its worker: fail-fast and context gates → parse into a pooled
+  /// arena → diff and chain append, feeding the alerter, the statistics
+  /// and (once a Search has built it) the full-text index exactly as
+  /// Ingest() does → park for group commit. At most `threads` parsed
+  /// documents are in memory at once.
   ///
   /// One malformed document fails only its own slot — the batch always
   /// completes. Reports come back in input order. When `stats` is

@@ -29,6 +29,22 @@ void AppendEscapedAttribute(std::string_view text, std::string* out) {
   }
 }
 
+/// Bytes AppendEscapedText (or, with `attribute`, AppendEscapedAttribute)
+/// appends for `text`.
+size_t EscapedSize(std::string_view text, bool attribute) {
+  size_t size = text.size();
+  for (char c : text) {
+    switch (c) {
+      case '&': size += 4; break;  // &amp;
+      case '<':
+      case '>': size += 3; break;  // &lt; &gt;
+      case '"': size += attribute ? 5 : 0; break;  // &quot;
+      default: break;
+    }
+  }
+  return size;
+}
+
 void SerializeRec(const XmlNode& node, const SerializeOptions& options,
                   int depth, std::string* out) {
   if (node.is_text()) {
@@ -99,6 +115,29 @@ std::string EscapeAttribute(std::string_view text) {
   out.reserve(text.size());
   AppendEscapedAttribute(text, &out);
   return out;
+}
+
+size_t EscapedTextSize(std::string_view text) {
+  return EscapedSize(text, /*attribute=*/false);
+}
+
+size_t EscapedAttributeSize(std::string_view text) {
+  return EscapedSize(text, /*attribute=*/true);
+}
+
+size_t SerializedNodeSize(const XmlNode& node) {
+  // Mirrors SerializeRec with default options.
+  if (node.is_text()) return EscapedTextSize(node.text());
+  size_t size = 1 + node.label().size();  // <label
+  for (const auto& attr : node.attributes()) {
+    size += attr.name.size() + EscapedAttributeSize(attr.value) + 4;
+  }
+  if (node.child_count() == 0) return size + 2;  // />
+  size += 1 + 2 + node.label().size() + 1;        // > </label>
+  for (size_t i = 0; i < node.child_count(); ++i) {
+    size += SerializedNodeSize(*node.child(i));
+  }
+  return size;
 }
 
 std::string SerializeNode(const XmlNode& node,

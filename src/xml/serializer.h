@@ -37,6 +37,15 @@ std::string EscapeText(std::string_view text);
 /// Escapes an attribute value for double-quoted output: & < > ".
 std::string EscapeAttribute(std::string_view text);
 
+/// Exactly EscapeText(text).size() and EscapeAttribute(text).size(),
+/// counted without building the string.
+size_t EscapedTextSize(std::string_view text);
+size_t EscapedAttributeSize(std::string_view text);
+
+/// Exactly SerializeNode(node).size() under default (compact) options,
+/// counted without building the string.
+size_t SerializedNodeSize(const XmlNode& node);
+
 }  // namespace xydiff
 
 #endif  // XYDIFF_XML_SERIALIZER_H_

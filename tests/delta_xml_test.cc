@@ -3,6 +3,9 @@
 #include "core/buld.h"
 #include "delta/apply.h"
 #include "gtest/gtest.h"
+#include "simulator/change_simulator.h"
+#include "simulator/web_corpus.h"
+#include "util/random.h"
 #include "tests/test_util.h"
 #include "xml/path.h"
 
@@ -176,6 +179,118 @@ TEST(DeltaXmlTest, EmptyDelta) {
   ASSERT_TRUE(reparsed.ok());
   EXPECT_TRUE(reparsed->empty());
   EXPECT_EQ(reparsed->old_next_xid(), 4u);
+}
+
+/// SerializedDeltaSize must equal the length of the text it stands in for.
+void ExpectSizeMatches(const Delta& delta) {
+  EXPECT_EQ(SerializedDeltaSize(delta), SerializeDelta(delta).size())
+      << SerializeDelta(delta);
+}
+
+/// An element snapshot `<label a="value">text</label>` whose two nodes
+/// carry XIDs `text_xid` and `element_xid` (postorder).
+XmlNodePtr Snapshot(std::string_view label, std::string_view value,
+                    std::string_view text, Xid text_xid, Xid element_xid) {
+  auto element = XmlNode::Element(label);
+  element->SetAttribute("a", value);
+  element->set_xid(element_xid);
+  auto child = XmlNode::Text(text);
+  child->set_xid(text_xid);
+  element->AppendChild(std::move(child));
+  return element;
+}
+
+TEST(DeltaXmlTest, SizeCounterCoversEveryOperationKind) {
+  Delta delta;
+  delta.set_old_next_xid(9);
+  delta.set_new_next_xid(123456);
+  // XID maps: a run ("(4-5)"), single values ("(7;9)"), and both.
+  delta.deletes().emplace_back(5, 1, 1, Snapshot("d", "v", "t", 4, 5));
+  delta.deletes().emplace_back(9, 1, 2, Snapshot("e", "", "", 7, 9));
+  auto runs = XmlNode::Element("r");
+  runs->set_xid(100);
+  for (Xid xid : {10, 11, 12, 40, 99}) {
+    auto leaf = XmlNode::Element("leaf");
+    leaf->set_xid(xid);
+    runs->AppendChild(std::move(leaf));
+  }
+  delta.inserts().emplace_back(100, 2, 3, std::move(runs));
+  // A snapshot-less op and a bare text snapshot.
+  delta.inserts().emplace_back(200, 2, 4, nullptr);
+  auto text = XmlNode::Text("bare");
+  text->set_xid(201);
+  delta.inserts().emplace_back(201, 2, 5, std::move(text));
+  delta.moves().push_back(MoveOp{3, 1, 7, 20, 1000});
+  delta.updates().push_back(UpdateOp{6, "old", "new"});
+  // Compressed updates: only the differing middle is stored.
+  delta.updates().push_back(UpdateOp{7, "mid", "dle", 12, 0});
+  delta.updates().push_back(UpdateOp{8, "x", "y", 0, 3456});
+  delta.updates().push_back(UpdateOp{9, "p", "q", 1, 22});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kInsert, 4, "lang", "", "en"});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kDelete, 4, "id", "x7", ""});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kUpdate, 4, "class", "a", "b"});
+  ExpectSizeMatches(delta);
+
+  Delta empty;
+  empty.set_old_next_xid(0);
+  empty.set_new_next_xid(18446744073709551615ULL);
+  ExpectSizeMatches(empty);
+}
+
+TEST(DeltaXmlTest, SizeCounterHandlesEmptyValues) {
+  Delta delta;
+  delta.set_old_next_xid(5);
+  delta.set_new_next_xid(5);
+  delta.updates().push_back(UpdateOp{3, "", "now set"});
+  delta.updates().push_back(UpdateOp{4, "was set", ""});
+  delta.updates().push_back(UpdateOp{5, "", ""});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kUpdate, 2, "k", "", ""});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kInsert, 2, "", "", ""});
+  ExpectSizeMatches(delta);
+}
+
+TEST(DeltaXmlTest, SizeCounterCountsEscapes) {
+  const std::string nasty = "a&b<c>d\"e'f&&<<>>\"\"";
+  Delta delta;
+  delta.set_old_next_xid(50);
+  delta.set_new_next_xid(60);
+  // In text (update values and snapshot text), in snapshot attribute
+  // values, and in the attribute-op name and values.
+  delta.updates().push_back(UpdateOp{3, nasty, "\"quoted\" & 'apos'"});
+  delta.deletes().emplace_back(11, 1, 1, Snapshot("s", nasty, nasty, 10, 11));
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kUpdate, 4, nasty, nasty, "<&>"});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kInsert, 4, "\"", "", nasty});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kDelete, 4, "&", "\">", ""});
+  ExpectSizeMatches(delta);
+}
+
+TEST(DeltaXmlTest, SizeCounterMatchesSimulatedDeltas) {
+  Rng rng(2002);
+  WebCorpusOptions corpus_options;
+  corpus_options.document_count = 40;
+  std::vector<XmlDocument> corpus = GenerateWebCorpus(&rng, corpus_options);
+  const ChangeSimOptions weekly = WeeklyWebChangeProfile();
+  size_t checked = 0;
+  for (XmlDocument& doc : corpus) {
+    doc.AssignInitialXids();
+    Result<SimulatedChange> change = SimulateChanges(doc, weekly, &rng);
+    ASSERT_TRUE(change.ok()) << change.status().ToString();
+    ExpectSizeMatches(change->perfect_delta);
+    XmlDocument old_version = doc.Clone();
+    Result<Delta> delta = XyDiff(&old_version, &change->new_version);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    ExpectSizeMatches(*delta);
+    checked += delta->operation_count();
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -349,6 +349,24 @@ TEST_F(FaultInjectionTest, FailFastAbortsRemainingSlots) {
   EXPECT_EQ(results[2].status().code(), StatusCode::kAborted);
 }
 
+TEST_F(FaultInjectionTest, FailFastClaimsTheLargestSlotFirst) {
+  Warehouse warehouse;
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 1;  // Deterministic claim order: largest first.
+  pipeline.fail_fast = true;
+
+  std::vector<Warehouse::DiffJob> jobs;
+  jobs.push_back({"good", "<d/>"});
+  jobs.push_back({"bad", "<broken><never-closed>"});
+  const auto results = warehouse.DiffBatch(std::move(jobs), pipeline);
+  ASSERT_EQ(results.size(), 2u);
+  // The larger bad slot ran first, so the good slot before it in job
+  // order was skipped; reports still come back in job order.
+  EXPECT_EQ(results[0].status().code(), StatusCode::kAborted);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kParseError);
+  EXPECT_EQ(warehouse.document_count(), 0u);
+}
+
 /// The group-commit contract over reopened slot signatures: every slot
 /// reads back bit-exactly pre- or post-save, ALL slots the same way (a
 /// mix is a torn group commit), and all post-save when the save

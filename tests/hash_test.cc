@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -76,6 +77,47 @@ TEST(HashTest, ChainedCombineDistinguishesSequences) {
   EXPECT_NE(HashCombine(HashCombine(0, x), yz),
             HashCombine(HashCombine(0, xy), z));
   (void)y;  // Kept for symmetry with x/z; not needed by the assertions.
+}
+
+/// Bytewise CRC-64/XZ straight from the polynomial: the reference the
+/// table-driven Crc64 must match.
+uint64_t ReferenceCrc64(std::string_view data, uint64_t crc) {
+  constexpr uint64_t kPoly = 0xC96C5795D7870F42ULL;
+  crc = ~crc;
+  for (char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(HashTest, Crc64MatchesTheXzCheckValue) {
+  EXPECT_EQ(Crc64("123456789"), 0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(Crc64(""), 0u);
+}
+
+TEST(HashTest, Crc64MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(64);
+  std::string buffer;
+  for (int i = 0; i < 64 + 8; ++i) {
+    buffer += static_cast<char>(rng.NextBelow(256));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      EXPECT_EQ(Crc64(data), ReferenceCrc64(data, 0))
+          << "offset " << offset << " length " << length;
+      // Chained: a checksum extended over a second piece equals the
+      // checksum of the whole.
+      const size_t cut = length / 3;
+      EXPECT_EQ(Crc64(data.substr(cut), Crc64(data.substr(0, cut))),
+                ReferenceCrc64(data, 0));
+      EXPECT_EQ(Crc64(data, 0x0123456789ABCDEFULL),
+                ReferenceCrc64(data, 0x0123456789ABCDEFULL));
+    }
+  }
 }
 
 }  // namespace

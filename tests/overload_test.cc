@@ -57,30 +57,35 @@ TEST(OverloadTest, BatchByteBudgetShedsWithResourceExhausted) {
   Warehouse warehouse;
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 2;
-  const std::vector<Warehouse::DiffJob> jobs = MakeJobs(8, 1);
-  // Budget for roughly half the batch: some slots must be admitted,
-  // some must be shed (which ones depends on claim order).
-  size_t total = 0;
-  for (const auto& job : jobs) total += job.xml.size();
-  pipeline.max_batch_bytes = total / 2;
+  std::vector<Warehouse::DiffJob> jobs = MakeJobs(8, 1);
+  const size_t small = jobs[0].xml.size();
+  // Slot 1 (2 * small + 1 bytes) would fit the budget on its own and, as
+  // the largest, is claimed first. But the budget is decided in index
+  // order before any claim: after slot 0 it no longer fits, so it is
+  // shed, and slots 2 and 3 take the room it left.
+  const std::string open = "<doc><blob>", close = "</blob></doc>";
+  jobs[1].xml =
+      open + std::string(2 * small + 1 - open.size() - close.size(), 'x') +
+      close;
+  pipeline.max_batch_bytes = 3 * small;
 
   PipelineStats stats;
   const auto reports = warehouse.DiffBatch(jobs, pipeline, &stats);
-  size_t ok = 0, shed = 0;
-  for (const auto& r : reports) {
-    if (r.ok()) {
-      ++ok;
+  std::vector<size_t> admitted, shed;
+  for (size_t i = 0; i < reports.size(); ++i) {
+    if (reports[i].ok()) {
+      admitted.push_back(i);
     } else {
-      ASSERT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-          << r.status().ToString();
-      ++shed;
+      ASSERT_EQ(reports[i].status().code(), StatusCode::kResourceExhausted)
+          << reports[i].status().ToString();
+      shed.push_back(i);
     }
   }
-  EXPECT_GT(ok, 0u);
-  EXPECT_GT(shed, 0u);
-  EXPECT_EQ(stats.shed_slots, shed);
+  EXPECT_EQ(admitted, (std::vector<size_t>{0, 2, 3}));
+  EXPECT_EQ(shed, (std::vector<size_t>{1, 4, 5, 6, 7}));
+  EXPECT_EQ(stats.shed_slots, shed.size());
   // Shed slots never became documents.
-  EXPECT_EQ(warehouse.document_count(), ok);
+  EXPECT_EQ(warehouse.document_count(), admitted.size());
 }
 
 TEST(OverloadTest, OversizedDocumentIsShedOthersProceed) {

@@ -120,9 +120,9 @@ std::map<std::string, DocumentOutcome> RunPipeline(
 }
 
 /// The reference outcome: both weeks through Ingest() over documents
-/// parsed fresh (no arena pool, monitors maintained inline). Ingest does
-/// not report delta_bytes, so that field comes from the serialization of
-/// a bare VersionRepository's delta for the same pair.
+/// parsed fresh (no arena pool, monitors maintained inline). The
+/// reference delta_bytes is the serialized length of a bare
+/// VersionRepository's delta for the same pair, not a counted size.
 std::map<std::string, DocumentOutcome> RunIngest(const Corpus& corpus) {
   Warehouse warehouse;
   XY_EXPECT_OK(warehouse.Subscribe("items", "//item"));

@@ -73,9 +73,11 @@ fi
 grep -q "doc-c: v2" batch2_out.txt
 grep -q "doc-d" batch2_err.txt
 grep -q "failed slots" batch2_err.txt
-# --fail-fast stops admitting slots once one has failed; with a single
-# worker the bad first slot deterministically aborts the rest.
-printf 'bad.xml\tnew.xml\tdoc-e\nold.xml\tnew.xml\tdoc-f\n' > manifest3.tsv
+# --fail-fast stops admitting slots once one has failed; a single worker
+# claims the largest slot first, so the large bad slot deterministically
+# aborts the rest.
+{ printf '<broken>'; cat old.xml; } > bigbad.xml
+printf 'bigbad.xml\tnew.xml\tdoc-e\nold.xml\tnew.xml\tdoc-f\n' > manifest3.tsv
 if "$TOOL" batch manifest3.tsv --threads 1 --fail-fast \
     > batch3_out.txt 2> batch3_err.txt
 then

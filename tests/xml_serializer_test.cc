@@ -28,6 +28,11 @@ TEST(SerializerTest, TextEscaping) {
   EXPECT_EQ(EscapeText("a<b>&c"), "a&lt;b&gt;&amp;c");
   EXPECT_EQ(EscapeText("plain"), "plain");
   EXPECT_EQ(EscapeAttribute("a\"b<c&"), "a&quot;b&lt;c&amp;");
+  for (std::string_view text : {"a<b>&c", "plain", "a\"b<c&", "", "\"\""}) {
+    EXPECT_EQ(EscapedTextSize(text), EscapeText(text).size()) << text;
+    EXPECT_EQ(EscapedAttributeSize(text), EscapeAttribute(text).size())
+        << text;
+  }
 }
 
 TEST(SerializerTest, EscapedRoundTrip) {
@@ -36,6 +41,7 @@ TEST(SerializerTest, EscapedRoundTrip) {
   root->AppendChild(XmlNode::Text("body & <stuff>"));
   XmlDocument doc(std::move(root));
   const std::string xml = SerializeDocument(doc);
+  EXPECT_EQ(SerializedNodeSize(*doc.root()), xml.size());
   XmlDocument reparsed = MustParse(xml);
   EXPECT_TRUE(DocsEqual(doc, reparsed));
 }
@@ -98,7 +104,9 @@ TEST_P(SerializerRoundTrip, RandomDocuments) {
   DocGenOptions options;
   options.target_bytes = 4096;
   XmlDocument doc = GenerateDocument(&rng, options);
-  XmlDocument reparsed = MustParse(SerializeDocument(doc));
+  const std::string xml = SerializeDocument(doc);
+  EXPECT_EQ(SerializedNodeSize(*doc.root()), xml.size());
+  XmlDocument reparsed = MustParse(xml);
   EXPECT_TRUE(DocsEqual(doc, reparsed));
 }
 
