@@ -5,8 +5,10 @@
 // bench measures what that guarantee costs and how well it holds:
 //
 //   * the crash-point sweep: every operation index of the save protocol
-//     is crashed once; the reopened store must always be the old or the
-//     new version (hybrids = 0), and recovery must be fast;
+//     is crashed once, both for a save that writes a fresh checkpoint
+//     and for one that carries the old one forward; the reopened store
+//     must always be the old or the new version (hybrids = 0), and
+//     recovery must be fast;
 //   * the commit protocol's size: env operations per save (each op is a
 //     syscall-ish unit, and each is a potential crash point);
 //   * throughput of the crash-safe save and of recovery loads;
@@ -17,12 +19,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "simulator/change_simulator.h"
 #include "simulator/doc_generator.h"
+#include "simulator/web_corpus.h"
 #include "util/fault_env.h"
 #include "util/random.h"
 #include "version/storage.h"
@@ -34,6 +38,9 @@ namespace {
 namespace fs = std::filesystem;
 using namespace xydiff;
 
+/// A document and `extra_versions` weekly re-crawls of it. (The
+/// simulator's default rates delete a tenth of the nodes per version,
+/// which leaves little of a document after three.)
 VersionRepository MakeRepo(uint64_t seed, int extra_versions,
                            size_t target_bytes) {
   Rng rng(seed);
@@ -42,7 +49,7 @@ VersionRepository MakeRepo(uint64_t seed, int extra_versions,
   VersionRepository repo(GenerateDocument(&rng, gen));
   for (int v = 0; v < extra_versions; ++v) {
     Result<SimulatedChange> change =
-        SimulateChanges(repo.current(), ChangeSimOptions{}, &rng);
+        SimulateChanges(repo.current(), WeeklyWebChangeProfile(), &rng);
     if (!change.ok() || !repo.Commit(std::move(change->new_version)).ok()) {
       std::fprintf(stderr, "corpus construction failed\n");
       std::exit(1);
@@ -66,14 +73,26 @@ int main() {
 
   VersionRepository before = MakeRepo(271828, 3, 4096);
   VersionRepository after = MakeRepo(271828, 3, 4096);
+  XmlDocument change_version;
   {
     Rng rng(314159);
     Result<SimulatedChange> change =
-        SimulateChanges(after.current(), ChangeSimOptions{}, &rng);
-    if (!change.ok() || !after.Commit(std::move(change->new_version)).ok()) {
-      return 1;
-    }
+        SimulateChanges(after.current(), WeeklyWebChangeProfile(), &rng);
+    if (!change.ok()) return 1;
+    change_version = change->new_version.Clone();
+    if (!after.Commit(std::move(change->new_version)).ok()) return 1;
   }
+  // The steady-state commit: a repository that loaded `before`'s store
+  // commits the same version `after` did and saves, carrying the
+  // checkpoint `before` wrote. `after` itself never recorded that
+  // checkpoint, so its save writes a fresh one at the head.
+  const auto load_and_commit = [&](Env* env) -> Result<VersionRepository> {
+    Result<VersionRepository> loaded = LoadRepository(store, env);
+    if (!loaded.ok()) return loaded.status();
+    Result<int> committed = loaded->Commit(change_version.Clone());
+    if (!committed.ok()) return committed.status();
+    return loaded;
+  };
 
   // --- commit protocol size: env ops for one incremental save ----------
   fs::remove_all(dir);
@@ -82,49 +101,67 @@ int main() {
   const int ops_initial_save = counting.op_count();
   counting.Reset();
   if (!SaveRepository(after, store, &counting).ok()) return 1;
+  const int ops_checkpoint_save = counting.op_count();
+  fs::remove_all(dir);
+  if (!SaveRepository(before, store, &counting).ok()) return 1;
+  Result<VersionRepository> carrying = load_and_commit(&counting);
+  if (!carrying.ok()) return 1;
+  counting.Reset();
+  if (!SaveRepository(*carrying, store, &counting).ok()) return 1;
   const int ops_incremental_save = counting.op_count();
-  std::printf("env ops per save        : %d initial, %d incremental\n",
-              ops_initial_save, ops_incremental_save);
+  std::printf("env ops per save        : %d initial, %d incremental "
+              "(checkpoint carried), %d writing a checkpoint\n",
+              ops_initial_save, ops_incremental_save, ops_checkpoint_save);
 
   // --- crash-point sweep ------------------------------------------------
+  // Both saves of a commit: the one that writes a fresh checkpoint and
+  // the one that carries it.
   int crash_points = 0;
   int recovered_old = 0;
   int recovered_new = 0;
   int hybrids = 0;
   double recover_seconds = 0;
-  for (int op = 0; op < 10000; ++op) {
-    fs::remove_all(dir);
-    FaultInjectionEnv env;
-    if (!SaveRepository(before, store, &env).ok()) return 1;
-    env.Reset();
-    env.CrashAt(op);
-    // The save may fail (expected) — the sweep judges the reopened disk.
-    (void)SaveRepository(after, store, &env);
-    const bool triggered = env.triggered();
-    if (!env.DropUnsyncedData().ok()) return 1;
+  for (const bool carry : {false, true}) {
+    for (int op = 0; op < 10000; ++op) {
+      fs::remove_all(dir);
+      FaultInjectionEnv env;
+      if (!SaveRepository(before, store, &env).ok()) return 1;
+      std::optional<VersionRepository> next;
+      if (carry) {
+        Result<VersionRepository> loaded = load_and_commit(&env);
+        if (!loaded.ok()) return 1;
+        next = std::move(*loaded);
+      }
+      env.Reset();
+      env.CrashAt(op);
+      // The save may fail (expected) — the sweep judges the reopened disk.
+      (void)SaveRepository(next.has_value() ? *next : after, store, &env);
+      const bool triggered = env.triggered();
+      if (!env.DropUnsyncedData().ok()) return 1;
 
-    Timer recover;
-    RecoveryReport report;
-    Result<VersionRepository> reopened = LoadRepository(store, nullptr,
-                                                        &report);
-    recover_seconds += recover.Seconds();
-    if (!reopened.ok()) {
-      ++hybrids;  // Committed history became unreadable: protocol bug.
-    } else if (reopened->version_count() == after.version_count()) {
-      ++recovered_new;
-    } else if (reopened->version_count() == before.version_count()) {
-      ++recovered_old;
-    } else {
-      ++hybrids;
+      Timer recover;
+      RecoveryReport report;
+      Result<VersionRepository> reopened =
+          LoadRepository(store, nullptr, &report);
+      recover_seconds += recover.Seconds();
+      if (!reopened.ok()) {
+        ++hybrids;  // Committed history became unreadable: protocol bug.
+      } else if (reopened->version_count() == after.version_count()) {
+        ++recovered_new;
+      } else if (reopened->version_count() == before.version_count()) {
+        ++recovered_old;
+      } else {
+        ++hybrids;
+      }
+      if (!triggered) break;  // Walked off the end of the protocol.
+      ++crash_points;
     }
-    if (!triggered) break;  // Walked off the end of the protocol.
-    ++crash_points;
   }
   std::printf("crash sweep             : %d crash points, %d -> old, "
               "%d -> new, %d hybrids\n",
               crash_points, recovered_old, recovered_new, hybrids);
   std::printf("recovery                : %.3f ms mean\n",
-              1e3 * recover_seconds / (crash_points + 1));
+              1e3 * recover_seconds / (crash_points + 2));
 
   // --- save / load throughput (the price of durability) -----------------
   constexpr int kRounds = 50;
@@ -197,7 +234,7 @@ int main() {
   sweep.AddNumber("recovered_new", recovered_new);
   sweep.AddNumber("hybrids", hybrids);
   sweep.AddNumber("mean_recover_ms",
-                  1e3 * recover_seconds / (crash_points + 1));
+                  1e3 * recover_seconds / (crash_points + 2));
 
   bench::JsonReport batch;
   batch.AddNumber("documents", kDocs);
@@ -211,6 +248,7 @@ int main() {
   report.AddNumber("versions", after.version_count());
   report.AddNumber("ops_initial_save", ops_initial_save);
   report.AddNumber("ops_incremental_save", ops_incremental_save);
+  report.AddNumber("ops_checkpoint_save", ops_checkpoint_save);
   report.AddNumber("save_ms", 1e3 * save_seconds);
   report.AddNumber("load_ms", 1e3 * load_seconds);
   report.AddObject("crash_sweep", sweep);

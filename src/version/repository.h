@@ -32,6 +32,20 @@ struct EncodedDigest {
   bool operator==(const EncodedDigest&) const = default;
 };
 
+/// The current-version checkpoint a store holds for a repository: the
+/// chain position it was taken at (the checkpoint is version `chain` + 1)
+/// and the digests of its xml and meta files. `doctype_crc` is the CRC-64
+/// of the checkpoint's DOCTYPE block (xml/serializer.h SerializeDoctype),
+/// which a forward replay from the checkpoint keeps: deltas carry no DTD.
+struct StoredCheckpoint {
+  size_t chain = 0;
+  EncodedDigest xml;
+  EncodedDigest meta;
+  uint64_t doctype_crc = 0;
+
+  bool operator==(const StoredCheckpoint&) const = default;
+};
+
 /// Change-centric version storage (§2, Figure 1; after [19]).
 ///
 /// Mirrors the Xyleme repository: only the *current* version is
@@ -115,6 +129,20 @@ class VersionRepository {
     delta_digests_[index] = digest;
   }
 
+  /// The checkpoint this repository last saved or loaded, when known.
+  /// A save carries the checkpoint its old MANIFEST lists only when it
+  /// equals this record, so a checkpoint is never inherited from another
+  /// repository whose files happen to hold the same deltas (storage.h).
+  const std::optional<StoredCheckpoint>& checkpoint() const {
+    return checkpoint_;
+  }
+
+  /// Records the checkpoint. Only the store calls this, with a version of
+  /// this repository that it has just written or read back.
+  void set_checkpoint(StoredCheckpoint checkpoint) {
+    checkpoint_ = checkpoint;
+  }
+
   /// The stored delta chain; deltas[k] transforms version k+1 into k+2.
   const std::vector<Delta>& deltas() const XY_ARENA_BOUND("repository") {
     return deltas_;
@@ -130,6 +158,7 @@ class VersionRepository {
   std::vector<Delta> deltas_;  // deltas_[k] transforms version k+1 -> k+2.
   // delta_digests_[k] caches the encoding digest of deltas_[k].
   std::vector<std::optional<EncodedDigest>> delta_digests_;
+  std::optional<StoredCheckpoint> checkpoint_;
   DiffStats last_stats_;
 };
 

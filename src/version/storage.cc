@@ -45,6 +45,16 @@ std::string CurrentMetaName(int epoch) {
   return name;
 }
 
+/// The epoch of a `current.<E>.xml` name, or 0 for any other name.
+int CurrentXmlEpoch(const std::string& name) {
+  int epoch = 0;
+  if (std::sscanf(name.c_str(), "current.%d.xml", &epoch) != 1 ||
+      epoch <= 0 || name != CurrentXmlName(epoch)) {
+    return 0;
+  }
+  return epoch;
+}
+
 std::string Hex64(uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -107,6 +117,18 @@ class ManifestLookup {
  private:
   std::unordered_map<std::string_view, const ManifestFile*> by_name_;
 };
+
+/// The epoch in the names of the checkpoint pair a manifest lists (its
+/// one `current.<E>.xml` entry), or 0 when it lists none. A save that
+/// carries its checkpoint forward keeps the pair's names, so E can be
+/// older than the manifest's own epoch.
+int CheckpointEpoch(const Manifest& manifest) {
+  // The pair follows the chain entries, so search from the back.
+  for (auto it = manifest.files.rbegin(); it != manifest.files.rend(); ++it) {
+    if (const int epoch = CurrentXmlEpoch(it->name); epoch > 0) return epoch;
+  }
+  return 0;
+}
 
 std::string FormatManifest(const Manifest& manifest) {
   std::ostringstream out;
@@ -195,6 +217,13 @@ std::string SerializeCurrentMeta(const XmlDocument& doc) {
   return meta.str();
 }
 
+/// A checkpoint's meta: the document's XID bookkeeping plus a third line,
+/// `chain <k>`, the chain position the checkpoint was taken at (it holds
+/// version k + 1).
+std::string SerializeCheckpointMeta(const XmlDocument& doc, size_t chain) {
+  return SerializeCurrentMeta(doc) + "chain " + std::to_string(chain) + "\n";
+}
+
 /// Rebuilds a document from its persisted xml/meta texts, restoring
 /// every node's XID. The document is internally validated (XID-map
 /// arity must match the tree), so this doubles as a structural check.
@@ -219,6 +248,36 @@ Result<XmlDocument> ParseDocumentPair(std::string_view xml_text,
   XYDIFF_RETURN_IF_ERROR(ApplyXidMapToSubtree(*map, doc->root()));
   doc->set_next_xid(next_xid);
   return doc;
+}
+
+/// The two files of one checkpoint, as read from disk.
+struct CheckpointFiles {
+  std::string xml;
+  std::string meta;
+  std::string meta_path;  ///< Names the pair in error messages.
+};
+
+/// Parses a checkpoint pair into the version it holds and sets
+/// `*position` to the chain position its meta records. A meta without
+/// the `chain` line was written when every save put its checkpoint at
+/// the head, so that pair sits at `head`, the chain length of the
+/// manifest that wrote it; `*positioned` (optional) says which case held.
+Result<XmlDocument> ParseCheckpoint(const CheckpointFiles& files, size_t head,
+                                    size_t* position,
+                                    bool* positioned = nullptr) {
+  const std::vector<std::string_view> lines = SplitLines(files.meta);
+  *position = head;
+  if (positioned != nullptr) *positioned = lines.size() > 2;
+  if (lines.size() > 2) {
+    uint64_t chain = 0;
+    if (!StartsWith(lines[2], "chain ") ||
+        !ParseUint64(Trim(lines[2].substr(6)), &chain)) {
+      return Status::Corruption("bad chain line in meta file: " +
+                                files.meta_path);
+    }
+    *position = static_cast<size_t>(chain);
+  }
+  return ParseDocumentPair(files.xml, files.meta, files.meta_path);
 }
 
 /// Concurrent batch workers may save/load distinct repositories at once;
@@ -366,19 +425,51 @@ Status InstallManifest(const std::string& directory,
   return Status::OK();
 }
 
-/// Loads the current document for `epoch` without manifest checksums
-/// (used for the previous-epoch fallback, whose manifest is gone):
-/// parse-level validation only.
-Result<XmlDocument> LoadCurrentUnverified(const std::string& directory,
-                                          int epoch, Env* env) {
+/// Reads the checkpoint pair of `epoch` without manifest checksums (the
+/// previous-epoch fallback and MANIFEST salvage have none to check).
+Result<CheckpointFiles> ReadCheckpointUnverified(const std::string& directory,
+                                                 int epoch, Env* env) {
+  CheckpointFiles files;
+  files.meta_path = directory + "/" + CurrentMetaName(epoch);
   Result<std::string> xml =
       env->ReadFile(directory + "/" + CurrentXmlName(epoch));
   if (!xml.ok()) return xml.status();
-  Result<std::string> meta =
-      env->ReadFile(directory + "/" + CurrentMetaName(epoch));
+  Result<std::string> meta = env->ReadFile(files.meta_path);
   if (!meta.ok()) return meta.status();
-  return ParseDocumentPair(*xml, *meta,
-                           directory + "/" + CurrentMetaName(epoch));
+  files.xml = std::move(*xml);
+  files.meta = std::move(*meta);
+  return files;
+}
+
+/// Replays chain deltas [from, *reach) forward from `checkpoint` with
+/// verifying pushes and returns the version reached. A delta that does
+/// not apply ends the replay: `*reach` falls to its index, and, since a
+/// failed push leaves the document half-modified, the checkpoint is
+/// parsed again from `files` and replayed up to that index.
+Result<XmlDocument> ReplayForward(XmlDocument checkpoint,
+                                  const CheckpointFiles& files,
+                                  const std::vector<std::optional<Delta>>& chain,
+                                  size_t from, size_t* reach,
+                                  RecoveryReport* report) {
+  for (;;) {
+    if (from == *reach) return checkpoint;
+    DeltaPathApplicator forward(std::move(checkpoint), ApplyOptions{});
+    size_t next = from;
+    Status applied;
+    for (; next < *reach; ++next) {
+      applied = forward.Push(*chain[next]);
+      if (!applied.ok()) break;
+    }
+    if (next == *reach) return std::move(forward).Finish();
+    report->notes.push_back("chain delta " + std::to_string(next + 1) +
+                            " does not apply forward from the checkpoint (" +
+                            applied.ToString() + ")");
+    *reach = next;
+    size_t position = 0;
+    Result<XmlDocument> again = ParseCheckpoint(files, from, &position);
+    if (!again.ok()) return again.status();
+    checkpoint = std::move(*again);
+  }
 }
 
 }  // namespace
@@ -391,6 +482,8 @@ std::string RecoveryReport::ToString() const {
   if (used_fallback) out << ", fell back to previous epoch";
   if (dropped_deltas > 0) out << ", dropped " << dropped_deltas
                               << " oldest delta(s)";
+  if (lost_versions > 0) out << ", lost " << lost_versions
+                             << " newest version(s)";
   if (!quarantined.empty()) {
     out << ", quarantined:";
     for (const std::string& name : quarantined) out << " " << name;
@@ -424,8 +517,9 @@ Result<XmlDocument> LoadDocumentWithXids(const std::string& xml_path,
 
 namespace {
 
-/// Writes a repository's *data* files (delta chain + epoch-fresh current
-/// snapshot) into `directory` and returns the manifest describing them —
+/// Writes a repository's *data* files (the delta chain and, when the old
+/// checkpoint cannot be carried, a fresh one at the head) into
+/// `directory` and returns the manifest describing them —
 /// WITHOUT committing it. The live MANIFEST still names the old state
 /// until the caller writes the returned manifest (SaveRepository) or
 /// group-commits it through a batch journal (SaveRepositoryBatch).
@@ -434,7 +528,8 @@ namespace {
 /// Chain deltas are encoded only when the repository holds no digest for
 /// them or the old manifest disagrees with it; each digest computed here
 /// is recorded in `repo`, so a steady-state save encodes just the deltas
-/// committed since the last one.
+/// committed since the last one. A fresh checkpoint is recorded in `repo`
+/// too.
 Result<Manifest> WriteRepositoryData(VersionRepository& repo,
                                      const std::string& directory, Env* env) {
   if (repo.current().root() == nullptr) {
@@ -453,15 +548,11 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
   Manifest next;
   next.epoch = old != nullptr ? old->epoch + 1 : 1;
   next.chain = repo.deltas().size();
-  if (old != nullptr) {
-    next.prev_epoch = old->epoch;
-    next.prev_chain = old->chain;
-  }
 
-  // A delta file is written unless the old manifest already lists the
-  // same bytes under the same name — in the common append-only case
-  // every prefix delta is skipped, so a commit writes one delta, two
-  // current files, and the MANIFEST.
+  // A file is written unless the old manifest already lists the same
+  // bytes under the same name — in the common append-only case every
+  // prefix delta is skipped, so a commit writes one delta, the MANIFEST,
+  // and, when it checkpoints, two current files.
   //
   // The existence check matters after recovery: a quarantined file is
   // still listed (with matching bytes) in the superseded manifest but is
@@ -496,18 +587,51 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
     next.files.push_back(std::move(entry));
   }
 
-  // Current snapshot under an epoch-fresh name, so the live epoch's
-  // files are never written over and a crashed save cannot corrupt them.
-  const std::string xml_text = SerializeCurrentXml(repo.current());
-  const std::string meta_text = SerializeCurrentMeta(repo.current());
+  // The checkpoint. The old manifest's pair is carried forward unwritten
+  // while it is this repository's own (it equals the checkpoint the
+  // repository recorded), the head keeps its DOCTYPE, and the deltas
+  // since it add up to no more bytes than its xml file: Load replays
+  // them forward. Otherwise a fresh pair is written at the head under
+  // epoch-fresh names, so the live files are never written over and a
+  // crashed save cannot corrupt them.
+  const XmlDocument& head = repo.current();
+  const uint64_t doctype_crc = Crc64(SerializeDoctype(head));
+  const int old_epoch = old != nullptr ? CheckpointEpoch(*old) : 0;
+  if (const std::optional<StoredCheckpoint>& own = repo.checkpoint();
+      own.has_value() && old_epoch > 0 && own->chain <= next.chain &&
+      own->doctype_crc == doctype_crc) {
+    size_t since = 0;
+    for (size_t i = own->chain; i < next.chain; ++i) {
+      since += next.files[i].size;
+    }
+    ManifestFile xml{CurrentXmlName(old_epoch), own->xml.size, own->xml.crc};
+    ManifestFile meta{CurrentMetaName(old_epoch), own->meta.size,
+                      own->meta.crc};
+    if (since <= xml.size && unchanged(xml) && unchanged(meta)) {
+      next.files.push_back(std::move(xml));
+      next.files.push_back(std::move(meta));
+      return next;
+    }
+  }
+  const std::string xml_text = SerializeCurrentXml(head);
+  const std::string meta_text = SerializeCheckpointMeta(head, next.chain);
   const std::string xml_name = CurrentXmlName(next.epoch);
   const std::string meta_name = CurrentMetaName(next.epoch);
   XYDIFF_RETURN_IF_ERROR(
       env->WriteFileAtomic(directory + "/" + xml_name, xml_text));
   XYDIFF_RETURN_IF_ERROR(
       env->WriteFileAtomic(directory + "/" + meta_name, meta_text));
-  next.files.push_back({xml_name, xml_text.size(), Crc64(xml_text)});
-  next.files.push_back({meta_name, meta_text.size(), Crc64(meta_text)});
+  const StoredCheckpoint written{next.chain,
+                                 {xml_text.size(), Crc64(xml_text)},
+                                 {meta_text.size(), Crc64(meta_text)},
+                                 doctype_crc};
+  next.files.push_back({xml_name, written.xml.size, written.xml.crc});
+  next.files.push_back({meta_name, written.meta.size, written.meta.crc});
+  if (old_epoch > 0) {
+    next.prev_epoch = old_epoch;
+    next.prev_chain = old->chain;
+  }
+  repo.set_checkpoint(written);
   return next;
 }
 
@@ -744,57 +868,67 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
       TryReadManifest(directory, env, &manifest_corrupt);
   if (!read.ok()) return read.status();
 
+  // --- checkpoint ---------------------------------------------------------
+  // The pair the MANIFEST lists, verified; or the superseded pair when it
+  // is damaged; or, under a corrupt MANIFEST, the newest pair that parses.
+  // `position` is where it sits in the chain: the deltas before it are
+  // history, the ones after it are replayed forward below.
   std::optional<Manifest> manifest = std::move(*read);
+  CheckpointFiles files;
+  Result<XmlDocument> checkpoint = Status::Corruption("unset");
+  size_t position = 0;
+  // Set for a verified pair whose meta says where it sits. A pair from
+  // before checkpoints were carried says so only through the manifest
+  // that lists it, so it is never carried into a later manifest.
+  std::optional<StoredCheckpoint> record;
   if (!manifest.has_value()) {
-    if (manifest_corrupt) {
-      report->manifest_valid = false;
-      report->clean = false;
-      report->notes.push_back("MANIFEST failed verification");
-      QuarantineFile(directory, kManifestName, env, report);
-      // Salvage: the newest epoch whose current files still parse.
-      Result<std::vector<std::string>> names = env->ListDir(directory);
-      if (!names.ok()) return names.status();
-      int best_epoch = 0;
-      for (const std::string& name : *names) {
-        int epoch = 0;
-        if (std::sscanf(name.c_str(), "current.%06d.xml", &epoch) == 1) {
-          best_epoch = std::max(best_epoch, epoch);
-        }
-      }
-      while (best_epoch > 0) {
-        if (LoadCurrentUnverified(directory, best_epoch, env).ok()) break;
-        --best_epoch;
-      }
-      if (best_epoch == 0) {
-        return Status::Corruption(
-            "MANIFEST corrupt and no loadable current version in " +
-            directory);
-      }
-      report->notes.push_back("salvaged epoch " + std::to_string(best_epoch));
-      // Synthesize a checksum-less manifest over whatever chain parses.
-      Manifest salvaged;
-      salvaged.epoch = best_epoch;
-      salvaged.chain = 0;
-      while (env->FileExists(directory + "/" + DeltaBinName(salvaged.chain))) {
-        ++salvaged.chain;
-      }
-      manifest = std::move(salvaged);
-    } else {
+    if (!manifest_corrupt) {
       return Status::NotFound("no repository in " + directory);
     }
-  }
-
-  const bool verified = report->manifest_valid;
-  const ManifestLookup listed(&*manifest);  // Salvaged: no entries.
-
-  // --- current version --------------------------------------------------
-  Result<XmlDocument> current = Status::Corruption("unset");
-  size_t chain = manifest->chain;
-  if (verified) {
+    report->manifest_valid = false;
+    report->clean = false;
+    report->notes.push_back("MANIFEST failed verification");
+    QuarantineFile(directory, kManifestName, env, report);
+    // Salvage: a checksum-less manifest over the newest pair that parses
+    // and whatever chain is on disk.
+    Result<std::vector<std::string>> names = env->ListDir(directory);
+    if (!names.ok()) return names.status();
+    Manifest salvaged;
+    while (env->FileExists(directory + "/" + DeltaBinName(salvaged.chain))) {
+      ++salvaged.chain;
+    }
+    std::vector<int> epochs;
+    for (const std::string& name : *names) {
+      if (const int epoch = CurrentXmlEpoch(name); epoch > 0) {
+        epochs.push_back(epoch);
+      }
+    }
+    std::sort(epochs.rbegin(), epochs.rend());
+    for (const int epoch : epochs) {
+      Result<CheckpointFiles> pair =
+          ReadCheckpointUnverified(directory, epoch, env);
+      if (!pair.ok()) continue;
+      checkpoint = ParseCheckpoint(*pair, salvaged.chain, &position);
+      if (!checkpoint.ok()) continue;
+      files = std::move(*pair);
+      salvaged.epoch = epoch;
+      break;
+    }
+    if (salvaged.epoch == 0) {
+      return Status::Corruption(
+          "MANIFEST corrupt and no loadable current version in " +
+          directory);
+    }
+    report->notes.push_back("salvaged epoch " +
+                            std::to_string(salvaged.epoch));
+    manifest = std::move(salvaged);
+  } else {
+    const ManifestLookup listed(&*manifest);
+    const int epoch = CheckpointEpoch(*manifest);
     const ManifestFile* xml_entry =
-        listed.Find(CurrentXmlName(manifest->epoch));
+        epoch > 0 ? listed.Find(CurrentXmlName(epoch)) : nullptr;
     const ManifestFile* meta_entry =
-        listed.Find(CurrentMetaName(manifest->epoch));
+        epoch > 0 ? listed.Find(CurrentMetaName(epoch)) : nullptr;
     if (xml_entry == nullptr || meta_entry == nullptr) {
       return Status::Corruption("MANIFEST lists no current version for " +
                                 directory);
@@ -803,49 +937,65 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
     if (!xml.ok() && xml.status().code() == StatusCode::kIOError) {
       return xml.status();
     }
+    bool positioned = false;
     Result<std::string> meta = ReadVerified(directory, *meta_entry, env);
     if (!meta.ok() && meta.status().code() == StatusCode::kIOError) {
       return meta.status();
     }
     if (xml.ok() && meta.ok()) {
-      current = ParseDocumentPair(*xml, *meta,
-                                  directory + "/" + meta_entry->name);
+      files = {std::move(*xml), std::move(*meta),
+               directory + "/" + meta_entry->name};
+      checkpoint =
+          ParseCheckpoint(files, manifest->chain, &position, &positioned);
     } else {
-      current = xml.ok() ? meta.status() : xml.status();
+      checkpoint = xml.ok() ? meta.status() : xml.status();
     }
-    if (!current.ok()) {
-      // The live epoch is damaged. Quarantine what is provably bad and
-      // fall back to the superseded epoch if its files survived (a
-      // crash between commit and cleanup leaves exactly that state).
+    if (checkpoint.ok()) {
+      if (positioned) {
+        record = StoredCheckpoint{position,
+                                  {xml_entry->size, xml_entry->crc},
+                                  {meta_entry->size, meta_entry->crc},
+                                  Crc64(SerializeDoctype(*checkpoint))};
+      }
+    } else {
+      // The live pair is damaged. Quarantine what is provably bad and
+      // fall back to the superseded pair if its files survived (a crash
+      // between commit and cleanup leaves exactly that state).
       report->clean = false;
-      report->notes.push_back("current epoch " +
-                              std::to_string(manifest->epoch) +
-                              " unusable: " + current.status().ToString());
+      report->notes.push_back("checkpoint epoch " + std::to_string(epoch) +
+                              " unusable: " + checkpoint.status().ToString());
       if (!xml.ok()) QuarantineFile(directory, xml_entry->name, env, report);
       if (!meta.ok()) {
         QuarantineFile(directory, meta_entry->name, env, report);
       }
-      if (manifest->prev_epoch > 0) {
+      if (manifest->prev_epoch > 0 && manifest->prev_epoch != epoch) {
+        Result<CheckpointFiles> pair =
+            ReadCheckpointUnverified(directory, manifest->prev_epoch, env);
         Result<XmlDocument> fallback =
-            LoadCurrentUnverified(directory, manifest->prev_epoch, env);
+            pair.ok() ? ParseCheckpoint(*pair, manifest->prev_chain, &position)
+                      : Result<XmlDocument>(pair.status());
         if (fallback.ok()) {
           report->used_fallback = true;
           report->notes.push_back("fell back to epoch " +
                                   std::to_string(manifest->prev_epoch));
-          current = std::move(fallback);
-          chain = manifest->prev_chain;
+          files = std::move(*pair);
+          checkpoint = std::move(fallback);
         }
       }
-      if (!current.ok()) {
+      if (!checkpoint.ok()) {
         return Status::Corruption("current version unrecoverable in " +
                                   directory + ": " +
-                                  current.status().message() + " (" +
+                                  checkpoint.status().message() + " (" +
                                   report->ToString() + ")");
       }
     }
-  } else {
-    current = LoadCurrentUnverified(directory, manifest->epoch, env);
-    if (!current.ok()) return current.status();
+  }
+  const size_t chain = manifest->chain;
+  if (position > chain) {
+    return Status::Corruption("checkpoint at chain position " +
+                              std::to_string(position) + " is past the " +
+                              std::to_string(chain) + "-delta chain in " +
+                              directory);
   }
 
   // --- delta chain ------------------------------------------------------
@@ -856,10 +1006,10 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   // digests to the repository, so its next save need not encode them
   // again (WriteRepositoryData) — unless recovery drops deltas below,
   // which renumbers the chain.
-  std::vector<Delta> deltas;
+  const ManifestLookup listed(&*manifest);  // Salvaged: no entries.
+  std::vector<std::optional<Delta>> deltas(chain);
   std::vector<EncodedDigest> digests;
   bool digests_known = true;
-  size_t last_bad = 0;  // 1-based index of the newest unusable delta.
   for (size_t i = 0; i < chain; ++i) {
     const std::string name = DeltaBinName(i);
     Result<std::string> text = Status::Corruption("unset");
@@ -875,20 +1025,46 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
     }
     Result<Delta> delta =
         text.ok() ? DecodeDeltaBinary(*text) : Result<Delta>(text.status());
-    if (!delta.ok()) {
+    if (delta.ok()) {
+      deltas[i] = std::move(*delta);
+    } else {
       report->clean = false;
       report->notes.push_back(name + ": " + delta.status().ToString());
-      last_bad = i + 1;
-      deltas.clear();  // Everything older than a bad delta is unreachable.
-      continue;
     }
-    if (last_bad == 0 || i + 1 > last_bad) deltas.push_back(std::move(*delta));
   }
-  if (last_bad > 0) {
-    for (size_t i = 0; i < last_bad; ++i) {
+
+  // --- forward from the checkpoint to the newest reachable version -------
+  // An unusable delta at or after the checkpoint makes every version
+  // after it unreachable: those newest versions are lost, and their
+  // deltas are quarantined.
+  size_t reach = position;
+  while (reach < chain && deltas[reach].has_value()) ++reach;
+  Result<XmlDocument> current = ReplayForward(
+      std::move(*checkpoint), files, deltas, position, &reach, report);
+  if (!current.ok()) return current.status();
+  if (reach < chain) {
+    report->clean = false;
+    report->lost_versions = chain - reach;
+    for (size_t i = reach; i < chain; ++i) {
       QuarantineDelta(directory, i, env, report);
     }
-    report->dropped_deltas += last_bad;
+  }
+
+  // --- history before the checkpoint ------------------------------------
+  // The newest unusable delta before the checkpoint severs everything
+  // older than itself (reconstruction walks backward).
+  size_t last_bad = 0;  // 1-based index of the newest unusable delta.
+  for (size_t i = 0; i < position; ++i) {
+    if (!deltas[i].has_value()) last_bad = i + 1;
+  }
+  for (size_t i = 0; i < last_bad; ++i) {
+    QuarantineDelta(directory, i, env, report);
+  }
+  report->dropped_deltas += last_bad;
+  std::vector<Delta> history;
+  history.reserve(reach - last_bad);
+  for (size_t i = last_bad; i < reach; ++i) {
+    history.push_back(std::move(*deltas[i]));
   }
 
   // --- deep verification on any degradation -----------------------------
@@ -896,8 +1072,8 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
   // proves the pieces still fit together (checksums can only vouch for
   // files the MANIFEST knew; a fallback epoch has no such vouching).
   if (!report->clean || report->used_fallback) {
-    const size_t drop =
-        VerifyChainApplies(*current, deltas, report->dropped_deltas, report);
+    const size_t drop = VerifyChainApplies(*current, history,
+                                           report->dropped_deltas, report);
     if (drop > 0) {
       report->clean = false;
       const size_t already_dropped = report->dropped_deltas;
@@ -905,19 +1081,22 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
         QuarantineDelta(directory, already_dropped + i, env, report);
       }
       report->dropped_deltas += drop;
-      deltas.erase(deltas.begin(),
-                   deltas.begin() + static_cast<long>(drop));
+      history.erase(history.begin(),
+                    history.begin() + static_cast<long>(drop));
     }
   }
 
-  report->recovered_version_count = static_cast<int>(deltas.size()) + 1;
+  report->recovered_version_count = static_cast<int>(history.size()) + 1;
   VersionRepository repo = VersionRepository::FromParts(
-      std::move(current.value()), std::move(deltas));
+      std::move(current.value()), std::move(history));
   if (digests_known && report->dropped_deltas == 0) {
-    for (size_t i = 0; i < digests.size(); ++i) {
+    for (size_t i = 0; i < repo.deltas().size(); ++i) {
       repo.set_delta_digest(i, digests[i]);
     }
   }
+  // Only a clean load hands its checkpoint on: after any recovery the
+  // next save writes a fresh one at the head.
+  if (report->clean && record.has_value()) repo.set_checkpoint(*record);
   return repo;
 }
 

@@ -20,10 +20,14 @@ namespace xydiff {
 ///                       CRC of everything above it). A repository IS
 ///                       whatever its MANIFEST says — files the
 ///                       MANIFEST does not mention are ignored.
-///   current.<E>.xml     newest version for epoch E (plain XML, DOCTYPE
-///                       with the document's ID-attribute declarations)
+///   current.<E>.xml     the checkpoint: one version, written by the save
+///                       of epoch E (plain XML, DOCTYPE with the
+///                       document's ID-attribute declarations)
 ///   current.<E>.meta    XID bookkeeping: line 1 `nextxid <N>`, line 2
-///                       the XID-map of the whole document ("(1-15;17)")
+///                       the XID-map of the whole document ("(1-15;17)"),
+///                       line 3 `chain <k>`: the checkpoint is version
+///                       k + 1. Without line 3 (stores written before
+///                       checkpoints were carried) it is the newest.
 ///   delta.000001.bin    delta chain in the compact binary codec
 ///   delta.000002.bin    (delta/codec.h); delta.00000k transforms
 ///                       version k into version k+1
@@ -31,15 +35,20 @@ namespace xydiff {
 ///                       deleted — forensics, not garbage
 ///
 /// Write protocol (see DESIGN.md "Durability and recovery"): every file
-/// goes temp → fsync → rename; the epoch counter gives changed current
-/// files a fresh name; the MANIFEST rename is the single atomic commit
-/// point; one directory fsync makes it durable. A crash at any step
-/// leaves either the old or the new repository, never a hybrid. A
+/// goes temp → fsync → rename; the epoch counter gives a fresh
+/// checkpoint a fresh name; the MANIFEST rename is the single atomic
+/// commit point; one directory fsync makes it durable. A crash at any
+/// step leaves either the old or the new repository, never a hybrid. A
 /// directory without a MANIFEST holds no repository.
 ///
-/// The current version and the delta chain are the whole repository:
-/// nothing derived from them is persisted, so every past version is
-/// reconstructed by backward replay from the loaded current version.
+/// A save writes a checkpoint only when it must: it carries the old
+/// MANIFEST's pair forward while that pair is the repository's own
+/// (VersionRepository::checkpoint) and the encoded chain deltas after it
+/// add up to no more bytes than its xml file; otherwise it writes a
+/// fresh pair at the head. The checkpoint and the delta chain are the
+/// whole repository: the newest version is the checkpoint with the
+/// deltas after it replayed forward, and every past version is
+/// reconstructed by backward replay from the newest.
 /// Files of other names (such as the checkpoint.* and skip.* files that
 /// older releases wrote for a reconstruction index) are never read and
 /// never removed; the next save leaves them out of the MANIFEST.
@@ -56,13 +65,21 @@ namespace xydiff {
 struct RecoveryReport {
   bool clean = true;
   bool manifest_valid = true;   ///< MANIFEST present and self-consistent.
-  bool used_fallback = false;   ///< Current files came from the previous
-                                ///< epoch (crash before cleanup).
+  bool used_fallback = false;   ///< The checkpoint came from the pair
+                                ///< the MANIFEST superseded (crash
+                                ///< before cleanup).
   int recovered_version_count = 0;
   size_t dropped_deltas = 0;    ///< Oldest history entries lost: a corrupt
-                                ///< delta severs everything older than
-                                ///< itself (reconstruction walks backward
-                                ///< from the current version).
+                                ///< delta before the checkpoint severs
+                                ///< everything older than itself
+                                ///< (reconstruction walks backward from
+                                ///< the current version).
+  size_t lost_versions = 0;     ///< Newest versions lost: a corrupt delta
+                                ///< at or after the checkpoint stops the
+                                ///< forward replay, so the versions after
+                                ///< it are unreachable and the loaded
+                                ///< current version is the last one
+                                ///< reached.
   std::vector<std::string> quarantined;  ///< Files moved to quarantine/.
   std::vector<std::string> notes;        ///< Human-readable event log.
 
@@ -78,18 +95,20 @@ struct RecoveryReport {
 /// except for IOError during post-commit cleanup, which is swallowed —
 /// stale files are invisible to the loader.
 ///
-/// The repository is taken mutably for one reason: the save records the
-/// encoding digest of every chain delta it encodes (see
+/// The repository is taken mutably because the save records what it
+/// wrote: the encoding digest of every chain delta it encodes (see
 /// VersionRepository::delta_digest), so the next save of the same
-/// repository encodes only the deltas committed in between. The caller
-/// must hold whatever lock guards `repo` against concurrent Commits.
+/// repository encodes only the deltas committed in between, and any
+/// fresh checkpoint (VersionRepository::checkpoint), so the next save
+/// can carry it. The caller must hold whatever lock guards `repo`
+/// against concurrent Commits.
 Status SaveRepository(VersionRepository& repo, const std::string& directory,
                       Env* env = nullptr);
 
 /// One repository in a group commit: what to write and where —
 /// `subdirectory` is a single path component under the batch parent
-/// directory (no separators). The repository records its delta digests,
-/// as in SaveRepository.
+/// directory (no separators). The repository records its delta digests
+/// and checkpoint, as in SaveRepository.
 struct RepositorySaveSlot {
   VersionRepository* repo = nullptr;
   std::string subdirectory;
@@ -137,12 +156,17 @@ Status SaveRepositoryBatch(const std::vector<RepositorySaveSlot>& slots,
 Status RecoverRepositoryBatch(const std::string& parent, Env* env = nullptr);
 
 /// Loads a repository persisted by SaveRepository, verifying every file
-/// against the MANIFEST checksums and self-healing where possible:
-/// corrupt current files fall back to the previous epoch if it
-/// survives; a corrupt delta quarantines itself and the (unreachable)
-/// older chain; `report` (optional) says what happened. Corruption is
-/// only declared for bytes that were read successfully but verify
-/// wrong — a transient IOError aborts the load untouched.
+/// against the MANIFEST checksums, and replays the deltas after the
+/// checkpoint forward, each push verified. Self-heals where possible:
+/// corrupt checkpoint files fall back to the superseded pair if it
+/// survives; a corrupt delta before the checkpoint quarantines itself
+/// and the (unreachable) older chain; one at or after it quarantines
+/// itself and every newer delta, and the newest version it reached is
+/// loaded as the current one; `report` (optional) says what happened. A
+/// clean load records the checkpoint in the repository, so the next
+/// save can carry it. Corruption is only declared for bytes that were
+/// read successfully but verify wrong — a transient IOError aborts the
+/// load untouched.
 Result<VersionRepository> LoadRepository(const std::string& directory,
                                          Env* env = nullptr,
                                          RecoveryReport* report = nullptr);

@@ -148,6 +148,29 @@ std::string SerializeNode(const XmlNode& node,
   return out;
 }
 
+std::string SerializeDoctype(const XmlDocument& doc) {
+  std::string out;
+  if (doc.root() == nullptr || !doc.dtd().has_id_attributes()) return out;
+  out.append("<!DOCTYPE ");
+  out.append(doc.dtd().doctype_name().empty()
+                 ? doc.root()->label()
+                 : std::string_view(doc.dtd().doctype_name()));
+  out.append(" [\n");
+  // One declaration per declared label that occurs in the tree, in the
+  // order the labels first occur: the registry's own order is unspecified.
+  doc.root()->Visit([&](const XmlNode* n) {
+    if (!n->is_element()) return;
+    const std::string* attr = doc.dtd().IdAttributeFor(n->label());
+    if (attr == nullptr) return;
+    std::string line = "<!ATTLIST ";
+    line.append(n->label());
+    line.append(" ").append(*attr).append(" ID #IMPLIED>\n");
+    if (out.find(line) == std::string::npos) out.append(line);
+  });
+  out.append("]>\n");
+  return out;
+}
+
 std::string SerializeDocument(const XmlDocument& doc,
                               const SerializeOptions& options) {
   std::string out;
@@ -156,28 +179,7 @@ std::string SerializeDocument(const XmlDocument& doc,
     out.append("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
     out.push_back('\n');
   }
-  if (options.doctype && doc.root() != nullptr &&
-      doc.dtd().has_id_attributes()) {
-    out.append("<!DOCTYPE ");
-    out.append(doc.dtd().doctype_name().empty()
-                   ? doc.root()->label()
-                   : std::string_view(doc.dtd().doctype_name()));
-    out.append(" [\n");
-    // Re-emit ID attribute declarations. Iteration order of the registry
-    // is unspecified; collect per-label lines deterministically by walking
-    // the document labels is overkill — emit from the registry directly.
-    // (Used for persistence, where order does not matter.)
-    doc.root()->Visit([&](const XmlNode* n) {
-      if (!n->is_element()) return;
-      const std::string* attr = doc.dtd().IdAttributeFor(n->label());
-      if (attr == nullptr) return;
-      std::string line = "<!ATTLIST ";
-      line.append(n->label());
-      line.append(" ").append(*attr).append(" ID #IMPLIED>\n");
-      if (out.find(line) == std::string::npos) out.append(line);
-    });
-    out.append("]>\n");
-  }
+  if (options.doctype) out.append(SerializeDoctype(doc));
   if (doc.root() != nullptr) {
     SerializeRec(*doc.root(), options, 0, &out);
   }

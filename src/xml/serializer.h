@@ -31,6 +31,11 @@ std::string SerializeNode(const XmlNode& node,
 std::string SerializeDocument(const XmlDocument& doc,
                               const SerializeOptions& options = {});
 
+/// The DOCTYPE block SerializeDocument emits under `doctype = true`:
+/// one ID-attribute declaration per declared label that occurs in the
+/// tree, or an empty string when the document declares none.
+std::string SerializeDoctype(const XmlDocument& doc);
+
 /// Escapes character data: & < > (and nothing else).
 std::string EscapeText(std::string_view text);
 

@@ -451,10 +451,12 @@ bool ProbeBatchFaultPoint(
 
 struct BatchCorpus {
   std::vector<VersionRepository> before, after;
+  std::vector<XmlDocument> changes;  ///< after[i]'s newest version as input.
   std::vector<std::vector<std::string>> sig_before, sig_after;
 };
 
-BatchCorpus MakeBatchCorpus(size_t slots) {
+BatchCorpus MakeBatchCorpus(size_t slots,
+                            const ChangeSimOptions& change_options = {}) {
   BatchCorpus corpus;
   for (size_t i = 0; i < slots; ++i) {
     const uint64_t seed = 300 + i;
@@ -462,8 +464,9 @@ BatchCorpus MakeBatchCorpus(size_t slots) {
     VersionRepository after = MakeRepo(seed, 1);
     Rng rng(400 + i);
     Result<SimulatedChange> change =
-        SimulateChanges(after.current(), ChangeSimOptions{}, &rng);
+        SimulateChanges(after.current(), change_options, &rng);
     EXPECT_TRUE(change.ok());
+    corpus.changes.push_back(change->new_version.Clone());
     EXPECT_TRUE(after.Commit(std::move(change->new_version)).ok());
     corpus.after.push_back(std::move(after));
     corpus.sig_before.push_back(Signature(corpus.before.back()));
@@ -544,6 +547,122 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
   EXPECT_GT(op, 10);
   EXPECT_LT(op, 10000);
   EXPECT_GT(cancelled_runs, 10);
+}
+
+/// How a probed save's crash ends: the machine loses power (un-synced
+/// data rolls back) or only the process dies (the operating system keeps
+/// every byte it was handed, synced or not).
+enum class CrashKind { kPowerLoss, kProcess };
+
+/// The checkpoint a probed group commit meets. kFresh saves repositories
+/// that never recorded the seeded checkpoint, so every slot writes a
+/// fresh pair; kCarried loads every slot back from the seeded store and
+/// commits the same change to it, so every slot carries its checkpoint.
+enum class CheckpointCase { kFresh, kCarried };
+
+/// ProbeBatchFaultPoint for one checkpoint case and crash kind.
+bool ProbeGroupCommit(const std::string& parent, BatchCorpus& corpus,
+                      CheckpointCase checkpoint, CrashKind crash,
+                      const std::function<void(FaultInjectionEnv&)>& plan) {
+  fs::remove_all(parent);
+  FaultInjectionEnv env;
+  std::vector<RepositorySaveSlot> seed;
+  for (size_t i = 0; i < corpus.before.size(); ++i) {
+    seed.push_back({&corpus.before[i], "slot" + std::to_string(i)});
+  }
+  XY_EXPECT_OK(SaveRepositoryBatch(seed, parent, &env));
+  std::vector<VersionRepository> loaded;
+  if (checkpoint == CheckpointCase::kCarried) {
+    for (size_t i = 0; i < corpus.before.size(); ++i) {
+      Result<VersionRepository> repo =
+          LoadRepository(parent + "/" + seed[i].subdirectory, &env);
+      EXPECT_TRUE(repo.ok()) << repo.status().ToString();
+      if (!repo.ok()) return false;
+      EXPECT_TRUE(repo->Commit(corpus.changes[i].Clone()).ok());
+      loaded.push_back(std::move(*repo));
+    }
+  }
+  std::vector<VersionRepository>& after =
+      checkpoint == CheckpointCase::kCarried ? loaded : corpus.after;
+  env.Reset();  // Disk state stands; forget counters and durable images.
+
+  plan(env);
+  std::vector<RepositorySaveSlot> slots;
+  for (size_t i = 0; i < after.size(); ++i) {
+    slots.push_back({&after[i], seed[i].subdirectory});
+  }
+  const Status saved = SaveRepositoryBatch(slots, parent, &env);
+  const bool triggered = env.triggered();
+  if (crash == CrashKind::kPowerLoss) XY_EXPECT_OK(env.DropUnsyncedData());
+  XY_EXPECT_OK(RecoverRepositoryBatch(parent));
+
+  std::vector<std::vector<std::string>> reopened;
+  for (const RepositorySaveSlot& slot : slots) {
+    RecoveryReport report;
+    Result<VersionRepository> repo =
+        LoadRepository(parent + "/" + slot.subdirectory, nullptr, &report);
+    EXPECT_TRUE(repo.ok())
+        << repo.status().ToString() << "\n" << report.ToString();
+    if (!repo.ok()) return triggered;
+    reopened.push_back(Signature(*repo));
+  }
+  ExpectAllPreOrAllPost(reopened, corpus.sig_before, corpus.sig_after,
+                        saved.ok());
+  if (!triggered) {
+    // The unfaulted save: the seeded pair is epoch 1, so only a fresh
+    // checkpoint writes an epoch-2 pair.
+    for (const RepositorySaveSlot& slot : slots) {
+      EXPECT_EQ(fs::exists(fs::path(parent) / slot.subdirectory /
+                           "current.000002.xml"),
+                checkpoint == CheckpointCase::kFresh)
+          << slot.subdirectory;
+    }
+  }
+  return triggered;
+}
+
+/// Crash and torn-write sweeps (tear offsets 0 and 512) over a 2-slot
+/// group commit, under power loss and under a process crash.
+void SweepGroupCommit(const std::string& parent, CheckpointCase checkpoint) {
+  // Changes small enough that each delta fits in the seeded checkpoint.
+  ChangeSimOptions small;
+  small.delete_probability = 0.02;
+  small.update_probability = 0.05;
+  small.insert_probability = 0.02;
+  BatchCorpus corpus = MakeBatchCorpus(2, small);
+  using Plan = std::function<void(FaultInjectionEnv&, int)>;
+  const std::vector<std::pair<const char*, Plan>> plans = {
+      {"crash", [](FaultInjectionEnv& env, int op) { env.CrashAt(op); }},
+      {"tear@0",
+       [](FaultInjectionEnv& env, int op) { env.TearWriteAt(op, 0); }},
+      {"tear@512",
+       [](FaultInjectionEnv& env, int op) { env.TearWriteAt(op, 512); }}};
+  for (const CrashKind crash : {CrashKind::kPowerLoss, CrashKind::kProcess}) {
+    for (const auto& [name, plan] : plans) {
+      SCOPED_TRACE(std::string(name) + (crash == CrashKind::kPowerLoss
+                                            ? " power loss"
+                                            : " process crash"));
+      int op = 0;
+      for (; op < 10000; ++op) {
+        if (!ProbeGroupCommit(parent, corpus, checkpoint, crash,
+                              [&plan, op](FaultInjectionEnv& env) {
+                                plan(env, op);
+                              })) {
+          break;
+        }
+      }
+      EXPECT_GT(op, 5);
+      EXPECT_LT(op, 10000);
+    }
+  }
+}
+
+TEST_F(FaultInjectionTest, GroupCommitCarryingTheCheckpointLeavesNoHybrid) {
+  SweepGroupCommit(Dir(), CheckpointCase::kCarried);
+}
+
+TEST_F(FaultInjectionTest, GroupCommitWritingAFreshCheckpointLeavesNoHybrid) {
+  SweepGroupCommit(Dir(), CheckpointCase::kFresh);
 }
 
 /// The probed save's deadline in the deadline sweeps: it expires mid-save

@@ -14,6 +14,7 @@
 #include "util/random.h"
 #include "version/warehouse.h"
 #include "xml/serializer.h"
+#include "xml/xid_map_tree.h"
 
 namespace xydiff {
 namespace {
@@ -150,6 +151,52 @@ TEST_F(StorageTest, CorruptMetaRejected) {
   EXPECT_FALSE(loaded.ok());
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The names of the checkpoint pair a repository's MANIFEST lists.
+struct ListedPair {
+  std::string xml, meta;
+
+  bool operator==(const ListedPair&) const = default;
+};
+
+ListedPair LivePair(const std::string& dir) {
+  std::istringstream manifest(ReadBytes(dir + "/MANIFEST"));
+  ListedPair pair;
+  std::string line;
+  while (std::getline(manifest, line)) {
+    std::istringstream fields(line);
+    std::string keyword, name;
+    if (!(fields >> keyword >> name) || keyword != "file" ||
+        name.rfind("current.", 0) != 0) {
+      continue;
+    }
+    if (name.ends_with(".xml")) {
+      pair.xml = name;
+    } else {
+      pair.meta = name;
+    }
+  }
+  EXPECT_FALSE(pair.xml.empty()) << dir;
+  EXPECT_FALSE(pair.meta.empty()) << dir;
+  return pair;
+}
+
+/// The chain position a checkpoint meta records on its `chain` line.
+size_t MetaChain(const std::string& meta_path) {
+  std::istringstream meta(ReadBytes(meta_path));
+  std::string line;
+  for (int i = 0; i < 3; ++i) std::getline(meta, line);
+  EXPECT_EQ(line.rfind("chain ", 0), 0u) << meta_path;
+  return line.size() > 6 ? std::stoul(line.substr(6)) : 0;
+}
+
 // --- recovery from out-of-band damage ---------------------------------
 // These tests vandalize stored files directly (not through an Env):
 // bit rot and truncation by other processes is exactly the damage the
@@ -270,20 +317,23 @@ TEST_F(StorageTest, TruncatedCurrentXmlQuarantinedAndReported) {
   VersionRepository repo = MakeRepo(10, 1);
   XY_ASSERT_OK(SaveRepository(repo, Dir()));
   XY_ASSERT_OK(SaveRepository(repo, Dir()));  // Second epoch, same chain.
+  // The second save carried the first one's checkpoint: whatever its
+  // epoch, the live pair is the only one on disk.
+  const std::string live_xml = LivePair(Dir()).xml;
   {
-    std::ofstream out(Dir() + "/current.000002.xml",
+    std::ofstream out(Dir() + "/" + live_xml,
                       std::ios::binary | std::ios::trunc);
     out << "<r";
   }
 
   RecoveryReport report;
   Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
-  // The previous epoch's files were cleaned up after the second commit,
-  // so there is no fallback; the report still pins down what was lost.
+  // No superseded pair survives the second commit, so there is no
+  // fallback; the report still pins down what was lost.
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   ASSERT_EQ(report.quarantined.size(), 1u) << report.ToString();
-  EXPECT_EQ(report.quarantined[0], "current.000002.xml");
-  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "current.000002.xml"));
+  EXPECT_EQ(report.quarantined[0], live_xml);
+  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / live_xml));
 }
 
 TEST_F(StorageTest, CorruptManifestSalvagesNewestEpoch) {
@@ -486,11 +536,23 @@ std::map<std::string, std::string> ManifestEntries(const std::string& dir) {
   return entries;
 }
 
+/// The chain entries of ManifestEntries.
+std::map<std::string, std::string> DeltaEntries(
+    std::map<std::string, std::string> entries) {
+  std::erase_if(entries, [](const auto& entry) {
+    return entry.first.rfind("delta.", 0) != 0;
+  });
+  return entries;
+}
+
 TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
   // One warehouse's store written twice: commit by commit through
   // DiffBatch group commits, and at once by Warehouse::Save into a fresh
-  // directory. Both must list the same delta files (name, size, CRC)
-  // and current files of the same size and CRC.
+  // directory. Both must list the same delta files (name, size, CRC) and
+  // load as the same repository. Their checkpoints may differ: the fresh
+  // save writes one at the head, while group commits carry theirs forward
+  // until the deltas since outgrow it, and every carried pair is a fresh
+  // serialization of the version it was taken at.
   const std::vector<std::string> urls = {"doc0", "doc1", "doc2"};
   const std::string incremental = Dir() + "/incremental";
   const std::string fresh = Dir() + "/fresh";
@@ -537,15 +599,355 @@ TEST_F(StorageTest, GroupCommitsAndAFreshSaveWriteTheSameManifestEntries) {
   }
   XY_ASSERT_OK((*warehouse)->Save(fresh));
 
+  size_t carried = 0;
   for (const std::string& url : urls) {
     const std::map<std::string, std::string> committed =
         ManifestEntries(incremental + "/" + url);
-    EXPECT_EQ(committed, ManifestEntries(fresh + "/" + url)) << url;
+    EXPECT_EQ(DeltaEntries(committed),
+              DeltaEntries(ManifestEntries(fresh + "/" + url)))
+        << url;
     // 8 versions: 7 deltas and the current pair.
     EXPECT_EQ(committed.size(), 9u) << url;
     EXPECT_EQ(committed.count("delta.000007.bin"), 1u) << url;
     EXPECT_EQ(committed.count("current.xml"), 1u) << url;
+
+    Result<VersionRepository> from_commits =
+        LoadRepository(incremental + "/" + url);
+    Result<VersionRepository> from_save = LoadRepository(fresh + "/" + url);
+    ASSERT_TRUE(from_commits.ok()) << from_commits.status().ToString();
+    ASSERT_TRUE(from_save.ok()) << from_save.status().ToString();
+    ExpectAllVersionsEqual(*from_save, *from_commits);
+    EXPECT_EQ(from_commits->current().next_xid(),
+              from_save->current().next_xid())
+        << url;
+
+    const std::string dir = incremental + "/" + url;
+    const ListedPair pair = LivePair(dir);
+    const size_t chain = MetaChain(dir + "/" + pair.meta);
+    if (chain < 7) ++carried;
+    Result<XmlDocument> version =
+        from_commits->Checkout(static_cast<int>(chain) + 1);
+    ASSERT_TRUE(version.ok()) << version.status().ToString();
+    SerializeOptions options;
+    options.xml_declaration = true;
+    options.doctype = true;
+    EXPECT_EQ(ReadBytes(dir + "/" + pair.xml),
+              SerializeDocument(*version, options))
+        << url;
+    std::istringstream meta(ReadBytes(dir + "/" + pair.meta));
+    std::string nextxid, xid_map;
+    std::getline(meta, nextxid);
+    std::getline(meta, xid_map);
+    EXPECT_EQ(xid_map, XidMapFromSubtree(*version->root()).ToString()) << url;
   }
+  EXPECT_GT(carried, 0u);
+}
+
+// --- checkpoints carried forward ---------------------------------------
+// A save writes the current xml/meta pair only as a checkpoint: it carries
+// the old MANIFEST's pair forward while that pair is the repository's own
+// and the deltas since it add up to no more bytes than its xml file, and
+// LoadRepository replays those deltas forward from it.
+
+/// Changes small enough that several deltas fit in one checkpoint.
+ChangeSimOptions SmallChanges() {
+  ChangeSimOptions options;
+  options.delete_probability = 0.01;
+  options.update_probability = 0.03;
+  options.insert_probability = 0.01;
+  return options;
+}
+
+/// Commits a small change, parsed from its text as a crawl would see it
+/// (the simulator can leave adjacent text nodes, which no parse makes).
+void CommitSmall(VersionRepository* repo, Rng* rng) {
+  Result<SimulatedChange> change =
+      SimulateChanges(repo->current(), SmallChanges(), rng);
+  ASSERT_TRUE(change.ok());
+  ASSERT_TRUE(
+      repo->Commit(MustParse(SerializeDocument(change->new_version))).ok());
+}
+
+/// Saves a `base`-version repository into `dir`, then commits and saves
+/// `carried` small versions, each of which must carry the checkpoint the
+/// first save wrote at chain position `base` - 1.
+VersionRepository MakeCarriedStore(const std::string& dir, uint64_t seed,
+                                   int base, int carried) {
+  Rng rng(seed);
+  DocGenOptions gen;
+  gen.target_bytes = 4096;
+  VersionRepository repo(GenerateDocument(&rng, gen));
+  for (int v = 1; v < base; ++v) CommitSmall(&repo, &rng);
+  EXPECT_TRUE(SaveRepository(repo, dir).ok());
+  const ListedPair checkpoint = LivePair(dir);
+  for (int v = 0; v < carried; ++v) {
+    CommitSmall(&repo, &rng);
+    EXPECT_TRUE(SaveRepository(repo, dir).ok());
+    EXPECT_EQ(LivePair(dir), checkpoint) << "commit " << v + 1;
+  }
+  EXPECT_EQ(MetaChain(dir + "/" + checkpoint.meta),
+            static_cast<size_t>(base - 1));
+  return repo;
+}
+
+TEST_F(StorageTest, GroupCommitsCarryOneCheckpointUntilTheDeltasOutgrowIt) {
+  Rng rng(71);
+  DocGenOptions gen;
+  gen.target_bytes = 4096;
+  VersionRepository repo(GenerateDocument(&rng, gen));
+  const std::string store = Dir() + "/doc";
+  const std::vector<RepositorySaveSlot> slot = {{&repo, "doc"}};
+  XY_ASSERT_OK(SaveRepositoryBatch(slot, Dir()));
+  ListedPair pair = LivePair(store);
+  size_t pair_bytes = fs::file_size(store + "/" + pair.xml);
+  size_t since = 0;
+  int carried = 0, checkpoints = 0;
+  for (int commit = 0; commit < 40; ++commit) {
+    CommitSmall(&repo, &rng);
+    XY_ASSERT_OK(SaveRepositoryBatch(slot, Dir()));
+    since += DigestOf(repo, repo.deltas().size() - 1).size;
+    const ListedPair now = LivePair(store);
+    if (since <= pair_bytes) {
+      EXPECT_EQ(now, pair) << "commit " << commit;
+      ++carried;
+      continue;
+    }
+    // Past the pair's size: a fresh pair at the head.
+    EXPECT_NE(now.xml, pair.xml) << "commit " << commit;
+    EXPECT_EQ(MetaChain(store + "/" + now.meta), repo.deltas().size());
+    EXPECT_EQ(ReadBytes(store + "/" + now.xml),
+              SerializeDocument(repo.current(), {.xml_declaration = true,
+                                                 .doctype = true}));
+    pair = now;
+    pair_bytes = fs::file_size(store + "/" + pair.xml);
+    since = 0;
+    ++checkpoints;
+  }
+  EXPECT_GE(checkpoints, 1);
+  EXPECT_GT(carried, 3 * checkpoints);
+  // The superseded pairs are gone: one pair is on disk.
+  size_t pairs = 0;
+  for (const auto& entry : fs::directory_iterator(store)) {
+    if (entry.path().extension() == ".xml") ++pairs;
+  }
+  EXPECT_EQ(pairs, 1u);
+  ExpectReloadsAs(store, repo);
+}
+
+TEST_F(StorageTest, CarriedStoreLoadsEqualAtEveryVersion) {
+  VersionRepository repo = MakeCarriedStore(Dir(), 72, 3, 4);
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(report.clean) << report.ToString();
+  ExpectAllVersionsEqual(repo, *loaded);
+  EXPECT_EQ(loaded->current().next_xid(), repo.current().next_xid());
+  // The load records the checkpoint it read, so the loaded repository's
+  // next commit carries it too.
+  ASSERT_TRUE(loaded->checkpoint().has_value());
+  EXPECT_EQ(loaded->checkpoint(), repo.checkpoint());
+  const ListedPair pair = LivePair(Dir());
+  Rng rng(73);
+  CommitSmall(&*loaded, &rng);
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  EXPECT_EQ(LivePair(Dir()), pair);
+  ExpectReloadsAs(Dir(), *loaded);
+}
+
+/// Rewrites `name` in a saved store and re-signs its MANIFEST entry, as
+/// an older build that wrote those bytes would have listed them.
+void RewriteListedFile(const std::string& dir, const std::string& name,
+                       const std::string& bytes) {
+  {
+    std::ofstream out(dir + "/" + name, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  std::istringstream manifest(ReadBytes(dir + "/MANIFEST"));
+  std::string body, line;
+  while (std::getline(manifest, line)) {
+    if (line.rfind("crc ", 0) == 0) continue;
+    if (line.rfind("file " + name + " ", 0) == 0) {
+      char crc[17];
+      std::snprintf(crc, sizeof(crc), "%016llx",
+                    static_cast<unsigned long long>(Crc64(bytes)));
+      line = "file " + name + " " + std::to_string(bytes.size()) + " " + crc;
+    }
+    body += line + "\n";
+  }
+  char crc[17];
+  std::snprintf(crc, sizeof(crc), "%016llx",
+                static_cast<unsigned long long>(Crc64(body)));
+  std::ofstream out(dir + "/MANIFEST", std::ios::binary | std::ios::trunc);
+  out << body << "crc " << crc << "\n";
+}
+
+TEST_F(StorageTest, StoreWithoutMetaChainLinesLoadsAndThenCheckpoints) {
+  // Stores written before checkpoints were carried have a two-line meta:
+  // their pair sits at the head of the MANIFEST that lists it.
+  VersionRepository repo = MakeRepo(74, 3);
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  const ListedPair legacy = LivePair(Dir());
+  std::string meta = ReadBytes(Dir() + "/" + legacy.meta);
+  meta.erase(meta.find("chain "));
+  RewriteListedFile(Dir(), legacy.meta, meta);
+
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(report.clean) << report.ToString();
+  ExpectAllVersionsEqual(repo, *loaded);
+  // Such a pair cannot say where it sits once the head moves on, so it is
+  // never carried: the next commit writes a checkpoint with a chain line,
+  // and the one after carries that.
+  EXPECT_FALSE(loaded->checkpoint().has_value());
+  Rng rng(75);
+  CommitSmall(&*loaded, &rng);
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  const ListedPair fresh = LivePair(Dir());
+  EXPECT_NE(fresh, legacy);
+  EXPECT_EQ(MetaChain(Dir() + "/" + fresh.meta), loaded->deltas().size());
+  CommitSmall(&*loaded, &rng);
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  EXPECT_EQ(LivePair(Dir()), fresh);
+  ExpectReloadsAs(Dir(), *loaded);
+}
+
+/// Requires `actual` to hold exactly versions 1..actual.version_count()
+/// of `expected`.
+void ExpectPrefixOf(const VersionRepository& expected,
+                    const VersionRepository& actual) {
+  for (int v = 1; v <= actual.version_count(); ++v) {
+    Result<XmlDocument> want = expected.Checkout(v);
+    Result<XmlDocument> got = actual.Checkout(v);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(DocsEqualWithXids(*want, *got)) << "version " << v;
+  }
+}
+
+TEST_F(StorageTest, BitFlipAfterTheCheckpointLosesTheNewestVersions) {
+  // Checkpoint at version 3 (chain position 2), head at version 7.
+  VersionRepository repo = MakeCarriedStore(Dir(), 76, 3, 4);
+  // delta.000004.bin turns version 4 into 5: versions 5-7 are out of
+  // reach, so the newest version that loads is 4.
+  FlipByte(Dir() + "/delta.000004.bin");
+
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(report.lost_versions, 3u) << report.ToString();
+  EXPECT_EQ(report.dropped_deltas, 0u);
+  EXPECT_EQ(report.recovered_version_count, 4);
+  EXPECT_EQ(loaded->version_count(), 4);
+  ExpectPrefixOf(repo, *loaded);
+  for (const char* name :
+       {"delta.000004.bin", "delta.000005.bin", "delta.000006.bin"}) {
+    EXPECT_TRUE(fs::exists(dir_ / "quarantine" / name)) << name;
+  }
+  EXPECT_NE(report.ToString().find("lost 3 newest version(s)"),
+            std::string::npos);
+
+  // A reload reaches the same version, never a hybrid of the two.
+  RecoveryReport again_report;
+  Result<VersionRepository> again =
+      LoadRepository(Dir(), nullptr, &again_report);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again_report.lost_versions, 3u);
+  ExpectAllVersionsEqual(*loaded, *again);
+
+  // The recovered repository saves a fresh checkpoint and reloads clean.
+  XY_ASSERT_OK(SaveRepository(*loaded, Dir()));
+  ExpectReloadsAs(Dir(), *loaded);
+}
+
+TEST_F(StorageTest, BitFlipBeforeTheCheckpointDropsOlderHistory) {
+  // Checkpoint at version 4 (chain position 3), head at version 6.
+  VersionRepository repo = MakeCarriedStore(Dir(), 77, 4, 2);
+  FlipByte(Dir() + "/delta.000002.bin");
+
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(report.dropped_deltas, 2u) << report.ToString();
+  EXPECT_EQ(report.lost_versions, 0u);
+  EXPECT_EQ(loaded->version_count(), 4);
+  EXPECT_TRUE(DocsEqualWithXids(loaded->current(), repo.current()));
+  for (int v = 1; v <= 4; ++v) {
+    Result<XmlDocument> original = repo.Checkout(v + 2);
+    Result<XmlDocument> recovered = loaded->Checkout(v);
+    ASSERT_TRUE(original.ok());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(DocsEqualWithXids(*original, *recovered)) << "version " << v;
+  }
+}
+
+TEST_F(StorageTest, CorruptManifestSalvagesACarriedCheckpoint) {
+  VersionRepository repo = MakeCarriedStore(Dir(), 78, 2, 3);
+  FlipByte(Dir() + "/MANIFEST");
+
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(Dir(), nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(report.manifest_valid);
+  EXPECT_FALSE(report.clean);
+  ExpectAllVersionsEqual(repo, *loaded);
+  EXPECT_FALSE(loaded->checkpoint().has_value());
+}
+
+TEST_F(StorageTest, ACheckpointIsNeverCarriedIntoAnotherRepository) {
+  // Two repositories whose deltas are the same bytes (one text update of
+  // the same XID) but whose versions differ elsewhere.
+  const auto make = [](const char* v1, const char* v2) {
+    VersionRepository repo(MustParse(v1));
+    EXPECT_TRUE(repo.Commit(MustParse(v2)).ok());
+    return repo;
+  };
+  VersionRepository first =
+      make("<r><a>x</a><b>one</b></r>", "<r><a>y</a><b>one</b></r>");
+  VersionRepository second =
+      make("<r><a>x</a><b>two</b></r>", "<r><a>y</a><b>two</b></r>");
+  ASSERT_EQ(DigestOf(first, 0), DigestOf(second, 0));
+
+  // `second` records a checkpoint of its own at the same chain position.
+  const std::string other_dir = Dir() + "_other";
+  XY_ASSERT_OK(SaveRepository(second, other_dir));
+  fs::remove_all(other_dir);
+  ASSERT_TRUE(second.checkpoint().has_value());
+
+  XY_ASSERT_OK(SaveRepository(first, Dir()));
+  const ListedPair firsts = LivePair(Dir());
+  XY_ASSERT_OK(SaveRepository(second, Dir()));
+  EXPECT_NE(LivePair(Dir()), firsts);
+  ExpectReloadsAs(Dir(), second);
+
+  // And a repository that recorded no checkpoint at all writes its own.
+  VersionRepository third =
+      make("<r><a>x</a><b>one</b></r>", "<r><a>y</a><b>one</b></r>");
+  ASSERT_FALSE(third.checkpoint().has_value());
+  XY_ASSERT_OK(SaveRepository(first, Dir()));
+  const ListedPair again = LivePair(Dir());
+  XY_ASSERT_OK(SaveRepository(third, Dir()));
+  EXPECT_NE(LivePair(Dir()), again);
+  ExpectReloadsAs(Dir(), third);
+}
+
+TEST_F(StorageTest, ADoctypeChangeWritesAFreshCheckpoint) {
+  // Deltas carry no DTD, so a forward replay keeps the checkpoint's: a
+  // head whose DOCTYPE differs must be checkpointed, or a reload would
+  // bring back ID-attribute declarations the newest version dropped.
+  VersionRepository repo(MustParse(
+      "<!DOCTYPE r [<!ATTLIST p id ID #IMPLIED>]><r><p id=\"a\">x</p></r>"));
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  const ListedPair declared = LivePair(Dir());
+  ASSERT_TRUE(repo.Commit(MustParse("<r><p id=\"a\">y</p></r>")).ok());
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  EXPECT_NE(LivePair(Dir()), declared);
+  Result<VersionRepository> loaded = LoadRepository(Dir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->current().dtd().IdAttributeFor("p"), nullptr);
+  ExpectAllVersionsEqual(repo, *loaded);
 }
 
 }  // namespace
