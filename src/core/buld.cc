@@ -35,15 +35,28 @@ int AncestorDepth(double weight, double total_weight, double n,
 
 class Buld {
  public:
-  Buld(XmlDocument* old_doc, XmlDocument* new_doc, const DiffOptions& options)
-      : old_doc_(old_doc), new_doc_(new_doc), options_(options) {}
+  /// `state` holds the signed tree of `old_doc` when the caller carried
+  /// one, else an empty tree; either way the new document's tree is
+  /// built against its label table, and a successful Run leaves the new
+  /// document's signed tree in it.
+  Buld(XmlDocument* old_doc, XmlDocument* new_doc, const DiffOptions& options,
+       SignedTree* state)
+      : old_doc_(old_doc), new_doc_(new_doc), options_(options),
+        state_(state) {}
 
-  Result<Delta> Run(DiffStats* stats) {
+  Result<Delta> Run(DiffStats* stats, DeltaNodeIndex* nodes) {
     // --- Phase 2 (build flat trees, signatures, weights) ---------------
     const auto t_start = Clock::now();
-    t1_ = DiffTree::Build(old_doc_, &labels_);
-    t2_ = DiffTree::Build(new_doc_, &labels_);
-    ComputeSignaturesAndWeights(&t1_, options_);
+    size_t trees_built = 1;
+    if (state_->tree.size() > 0) {
+      t1_ = std::move(state_->tree);
+      t1_.ResetMatching();
+    } else {
+      t1_ = DiffTree::Build(old_doc_, &state_->labels);
+      ComputeSignaturesAndWeights(&t1_, options_);
+      ++trees_built;
+    }
+    t2_ = DiffTree::Build(new_doc_, &state_->labels);
     ComputeSignaturesAndWeights(&t2_, options_);
     const auto t_phase2 = Clock::now();
 
@@ -107,7 +120,7 @@ class Buld {
     // document, so bailing after it would leave visible partial state.
     XYDIFF_RETURN_IF_ERROR(checkpoint.CheckNow());
     Delta delta = BuildDeltaFromMatching(&t1_, &t2_, old_doc_, new_doc_,
-                                         options_, DeltaBuildConfig{});
+                                         options_, DeltaBuildConfig{}, nodes);
     const auto t_phase5 = Clock::now();
 
     if (stats != nullptr) {
@@ -130,7 +143,10 @@ class Buld {
       stats->subtree_matches = counters_.subtree_matches;
       stats->ancestor_matches = counters_.ancestor_matches;
       stats->propagation_matches = counters_.propagation_matches;
+      stats->trees_built = trees_built;
     }
+    state_->tree = std::move(t2_);
+    state_->text_log_weight = options_.text_log_weight;
     return delta;
   }
 
@@ -256,24 +272,25 @@ class Buld {
   XmlDocument* old_doc_;
   XmlDocument* new_doc_;
   DiffOptions options_;
-  LabelTable labels_;
+  SignedTree* state_;
   DiffTree t1_;
   DiffTree t2_;
   const CandidateIndex* index_ = nullptr;
   Counters counters_;
 };
 
-}  // namespace
-
-Result<Delta> XyDiff(XmlDocument* old_doc, XmlDocument* new_doc,
-                     const DiffOptions& options, DiffStats* stats) {
+/// The checks every diff makes before Phase 2. Without a carried tree,
+/// an old document with no XIDs at all gets initial ones; a carried tree
+/// was signed after Phase 5 gave the document every XID.
+Status PrepareDiff(XmlDocument* old_doc, XmlDocument* new_doc,
+                   const DiffOptions& options, bool carried) {
   if (old_doc->root() == nullptr || new_doc->root() == nullptr) {
     return Status::InvalidArgument("both documents must have a root element");
   }
   if (options.context != nullptr) {
     XYDIFF_RETURN_IF_ERROR(options.context->Check());
   }
-  if (!old_doc->AllXidsAssigned()) {
+  if (!carried && !old_doc->AllXidsAssigned()) {
     // First-version semantics when the document carries no XIDs at all.
     bool any = false;
     old_doc->root()->Visit([&](const XmlNode* n) {
@@ -285,8 +302,44 @@ Result<Delta> XyDiff(XmlDocument* old_doc, XmlDocument* new_doc,
     }
     old_doc->AssignInitialXids();
   }
-  Buld buld(old_doc, new_doc, options);
-  return buld.Run(stats);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Delta> XyDiff(XmlDocument* old_doc, XmlDocument* new_doc,
+                     const DiffOptions& options, DiffStats* stats) {
+  XYDIFF_RETURN_IF_ERROR(PrepareDiff(old_doc, new_doc, options,
+                                     /*carried=*/false));
+  SignedTree state;
+  return Buld(old_doc, new_doc, options, &state).Run(stats, nullptr);
+}
+
+Result<Delta> XyDiffChained(XmlDocument* old_doc, XmlDocument* new_doc,
+                            const DiffOptions& options,
+                            std::unique_ptr<SignedTree>* carry,
+                            DiffStats* stats, DeltaNodeIndex* nodes) {
+  std::unique_ptr<SignedTree> state = std::move(*carry);
+  const bool carried = state != nullptr && state->tree.size() > 0 &&
+                       state->text_log_weight == options.text_log_weight &&
+                       state->tree.dom(0) == old_doc->root();
+  if (!carried) state = std::make_unique<SignedTree>();
+  XYDIFF_RETURN_IF_ERROR(PrepareDiff(old_doc, new_doc, options, carried));
+  Result<Delta> delta =
+      Buld(old_doc, new_doc, options, state.get()).Run(stats, nodes);
+  if (!delta.ok()) return delta;
+  // The table keeps every label any version of the chain ever used; once
+  // it holds more than twice what the kept tree uses, move the tree onto
+  // a fresh one, so documents whose labels churn do not grow it forever.
+  if (state->labels.size() > 2 * state->tree.CountLabelsUsed()) {
+    auto rebound = std::make_unique<SignedTree>();
+    rebound->tree = std::move(state->tree);
+    rebound->tree.RebindLabels(&rebound->labels);
+    rebound->text_log_weight = state->text_log_weight;
+    state = std::move(rebound);
+  }
+  *carry = std::move(state);
+  return delta;
 }
 
 Result<Delta> XyDiffText(std::string_view old_xml, std::string_view new_xml,

@@ -1,8 +1,12 @@
 #ifndef XYDIFF_CORE_BULD_H_
 #define XYDIFF_CORE_BULD_H_
 
-#include "delta/options.h"
+#include <memory>
+
 #include "delta/delta.h"
+#include "delta/diff_tree.h"
+#include "delta/node_index.h"
+#include "delta/options.h"
 #include "util/status.h"
 #include "xml/document.h"
 
@@ -31,6 +35,44 @@ namespace xydiff {
 Result<Delta> XyDiff(XmlDocument* old_doc, XmlDocument* new_doc,
                      const DiffOptions& options = {},
                      DiffStats* stats = nullptr);
+
+/// Phase 2's output for one document (§5.2): its DiffTree with labels,
+/// signatures and weights, and the label table the tree's label ids
+/// refer to. The tree points into `labels`, so the pair never moves; its
+/// owner holds it by pointer.
+struct SignedTree {
+  SignedTree() = default;
+  SignedTree(const SignedTree&) = delete;
+  SignedTree& operator=(const SignedTree&) = delete;
+
+  LabelTable labels;
+  DiffTree tree;  ///< Empty until a diff fills it.
+  /// The DiffOptions::text_log_weight the weights were computed under —
+  /// the one option that changes DiffTree::Build or
+  /// ComputeSignaturesAndWeights.
+  bool text_log_weight = true;
+};
+
+/// XyDiff for a caller that diffs a chain of versions of one document
+/// (VersionRepository::Commit).
+///
+/// When `*carry` holds the signed tree of `*old_doc` — left there by the
+/// diff that produced `*old_doc`, unchanged since, and computed under
+/// this `options.text_log_weight` — Phase 2 keeps it, with only its match
+/// links and ID locks reset, and builds and signs the new document
+/// alone; `*old_doc` then must carry XIDs, as every version a diff
+/// produced does. On success `*carry` holds the signed tree of
+/// `*new_doc`: the caller drops it as soon as `*new_doc` changes other
+/// than by being moved. On error `*carry` is reset.
+///
+/// `nodes` (optional) receives the nodes the delta's operations name,
+/// resolved by Phase 5 (delta/node_index.h); its old side points into
+/// `*old_doc`, its new side into `*new_doc`.
+Result<Delta> XyDiffChained(XmlDocument* old_doc, XmlDocument* new_doc,
+                            const DiffOptions& options,
+                            std::unique_ptr<SignedTree>* carry,
+                            DiffStats* stats = nullptr,
+                            DeltaNodeIndex* nodes = nullptr);
 
 /// Convenience overload for callers that start from XML text: parses both
 /// documents, assigns initial XIDs to the old one, diffs, and returns the

@@ -196,7 +196,8 @@ void EmitAttributeOps(const XmlNode& old_node, const XmlNode& new_node,
 Delta BuildDeltaFromMatching(DiffTree* old_tree, DiffTree* new_tree,
                              XmlDocument* old_doc, XmlDocument* new_doc,
                              const DiffOptions& options,
-                             const DeltaBuildConfig& config) {
+                             const DeltaBuildConfig& config,
+                             DeltaNodeIndex* nodes) {
   DiffTree& t1 = *old_tree;
   DiffTree& t2 = *new_tree;
 
@@ -236,6 +237,7 @@ Delta BuildDeltaFromMatching(DiffTree* old_tree, DiffTree* new_tree,
     for (NodeIndex i2 = 0; i2 < t2.size(); ++i2) {
       if (!moved[static_cast<size_t>(i2)]) continue;
       const NodeIndex i1 = t2.match(i2);
+      if (nodes != nullptr) nodes->AddNew(t2.dom(i2));
       delta.moves().push_back(MoveOp{t1.dom(i1)->xid(), ParentXid(t1, i1),
                                      Pos1(t1, i1), ParentXid(t2, i2),
                                      Pos1(t2, i2)});
@@ -257,6 +259,7 @@ Delta BuildDeltaFromMatching(DiffTree* old_tree, DiffTree* new_tree,
     if (t1.matched(i1)) continue;
     const NodeIndex p1 = t1.parent(i1);
     if (p1 != kInvalidNode && !t1.matched(p1)) continue;  // Not maximal.
+    if (nodes != nullptr) nodes->AddOld(t1.dom(i1));
     delta.deletes().emplace_back(
         t1.dom(i1)->xid(), ParentXid(t1, i1), Pos1(t1, i1),
         SnapshotUnmatched(t1, i1, delta.snapshot_arena()));
@@ -268,6 +271,7 @@ Delta BuildDeltaFromMatching(DiffTree* old_tree, DiffTree* new_tree,
     if (t2.matched(i2)) continue;
     const NodeIndex p2 = t2.parent(i2);
     if (p2 != kInvalidNode && !t2.matched(p2)) continue;
+    if (nodes != nullptr) nodes->AddNew(t2.dom(i2));
     delta.inserts().emplace_back(
         t2.dom(i2)->xid(), ParentXid(t2, i2), Pos1(t2, i2),
         SnapshotUnmatched(t2, i2, delta.snapshot_arena()));
@@ -284,11 +288,20 @@ Delta BuildDeltaFromMatching(DiffTree* old_tree, DiffTree* new_tree,
         delta.updates().push_back(MakeUpdateOp(old_dom.xid(), old_dom.text(),
                                                new_dom.text(),
                                                options.compress_updates));
+        if (nodes != nullptr) {
+          nodes->AddOld(&old_dom);
+          nodes->AddNew(&new_dom);
+        }
       }
     } else {
+      const size_t before = delta.attribute_ops().size();
       EmitAttributeOps(old_dom, new_dom, &delta);
+      if (nodes != nullptr && delta.attribute_ops().size() > before) {
+        nodes->AddNew(&new_dom);
+      }
     }
   }
+  if (nodes != nullptr) nodes->Seal();
 
   return delta;
 }

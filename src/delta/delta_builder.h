@@ -4,6 +4,7 @@
 #include "delta/diff_tree.h"
 #include "delta/options.h"
 #include "delta/delta.h"
+#include "delta/node_index.h"
 #include "xml/document.h"
 
 namespace xydiff {
@@ -41,10 +42,15 @@ struct DeltaBuildConfig {
 /// With `DiffOptions::detect_moves == false`, every would-be move is
 /// first demoted to unmatched (cascading to descendants), producing a
 /// delete+insert-only delta.
+///
+/// When `nodes` is non-null it receives the nodes the delta's operations
+/// name (delta/node_index.h), taken from the trees as each operation is
+/// emitted, so the delta's consumers need no walk of either document.
 Delta BuildDeltaFromMatching(DiffTree* old_tree, DiffTree* new_tree,
                              XmlDocument* old_doc, XmlDocument* new_doc,
                              const DiffOptions& options,
-                             const DeltaBuildConfig& config = {});
+                             const DeltaBuildConfig& config = {},
+                             DeltaNodeIndex* nodes = nullptr);
 
 }  // namespace xydiff
 

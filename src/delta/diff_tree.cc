@@ -1,5 +1,6 @@
 #include "delta/diff_tree.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace xydiff {
@@ -118,6 +119,34 @@ DiffTree DiffTree::Build(XmlDocument* doc, LabelTable* labels) {
   tree.match_.assign(count, kInvalidNode);
   tree.id_locked_.assign(count, 0);
   return tree;
+}
+
+void DiffTree::ResetMatching() {
+  std::fill(match_.begin(), match_.end(), kInvalidNode);
+  std::fill(id_locked_.begin(), id_locked_.end(), 0);
+}
+
+size_t DiffTree::CountLabelsUsed() const {
+  std::vector<char> used(labels_->size(), 0);
+  size_t count = 0;
+  for (int32_t label : label_) {
+    if (label == LabelTable::kTextLabel) continue;
+    char& seen = used[static_cast<size_t>(label)];
+    count += seen == 0 ? 1 : 0;
+    seen = 1;
+  }
+  return count;
+}
+
+void DiffTree::RebindLabels(LabelTable* labels) {
+  std::vector<int32_t> remap(labels_->size(), kInvalidNode);
+  for (int32_t& label : label_) {
+    if (label == LabelTable::kTextLabel) continue;
+    int32_t& id = remap[static_cast<size_t>(label)];
+    if (id == kInvalidNode) id = labels->Intern(labels_->Name(label));
+    label = id;
+  }
+  labels_ = labels;
 }
 
 }  // namespace xydiff

@@ -108,6 +108,22 @@ class DiffTree {
   /// Total weight of the whole document (weight of the root).
   double total_weight() const { return weight_[0]; }
 
+  // --- Reuse across diffs (core/buld.h SignedTree) -----------------------------
+
+  /// Clears what a matching left behind (match links and ID locks),
+  /// keeping structure, labels, signatures and weights, so the tree of
+  /// one diff's new document can serve as the next diff's old tree.
+  void ResetMatching();
+
+  /// Number of distinct element labels the tree uses.
+  size_t CountLabelsUsed() const;
+
+  /// Re-interns the labels the tree uses into `labels` (in first-use
+  /// order) and points the tree at it; the old table must still be alive
+  /// during the call. Lets a long-lived tree drop a table that has grown
+  /// with labels of documents it no longer holds.
+  void RebindLabels(LabelTable* labels);
+
  private:
   const LabelTable* labels_ = nullptr;
   std::vector<XmlNode*> dom_;

@@ -59,6 +59,14 @@ DeltaNodeIndex DeltaNodeIndex::Build(const Delta& delta,
   return index;
 }
 
+void DeltaNodeIndex::Seal() {
+  for (Entries* entries : {&old_nodes_, &new_nodes_}) {
+    std::sort(entries->begin(), entries->end());
+    entries->erase(std::unique(entries->begin(), entries->end()),
+                   entries->end());
+  }
+}
+
 const XmlNode* DeltaNodeIndex::Find(const Entries& entries, Xid xid) {
   auto it = std::lower_bound(
       entries.begin(), entries.end(), xid,

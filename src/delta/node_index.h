@@ -18,10 +18,14 @@ namespace xydiff {
 /// alerter, change statistics — and each used to build its own full
 /// XID→node hash map over both documents: up to six O(n) walks with a
 /// hash insert per node, for deltas that usually touch a handful of
-/// nodes. This index instead collects exactly the XIDs the delta's
-/// operations reference, then fills them with ONE walk per document
-/// into a small sorted vector; a delta without operations on a side
-/// skips that side's walk entirely.
+/// nodes. This index holds exactly the nodes the delta's operations
+/// reference, in a small vector sorted by XID. The ingest path gets it
+/// from the diff itself: BULD Phase 5 already holds every operation's
+/// node and records it (VersionRepository::Commit hands the index out),
+/// so no document is walked. Build serves callers that have only a
+/// delta and its two versions: it collects the referenced XIDs, then
+/// fills them with ONE walk per document; a delta without operations on
+/// a side skips that side's walk entirely.
 ///
 /// The index is a snapshot over borrowed documents: it must not outlive
 /// them, and mutating either tree invalidates it.
@@ -35,6 +39,16 @@ class DeltaNodeIndex {
   static DeltaNodeIndex Build(const Delta& delta,
                               const XmlDocument& old_version,
                               const XmlDocument& new_version);
+
+  /// Builders that already hold the delta's nodes — BULD Phase 5
+  /// (delta/delta_builder.h) — record them directly, with no document
+  /// walk: AddOld/AddNew per node the delta names on that side, then
+  /// Seal once. The result equals Build for the same delta.
+  void AddOld(const XmlNode* node) { old_nodes_.emplace_back(node->xid(), node); }
+  void AddNew(const XmlNode* node) { new_nodes_.emplace_back(node->xid(), node); }
+  void Seal();
+
+  bool operator==(const DeltaNodeIndex&) const = default;
 
   /// The old-version node with `xid`, or nullptr if the delta never
   /// referenced it on that side (or the document does not contain it).

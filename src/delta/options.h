@@ -92,6 +92,11 @@ struct DiffStats {
   size_t ancestor_matches = 0;      ///< Pairs matched by the upward climb.
   size_t propagation_matches = 0;   ///< Pairs matched by Phase 4 passes.
 
+  /// DiffTrees built and signed in Phase 2: 2, or 1 when the old
+  /// document's signed tree was carried over from the diff that produced
+  /// it (core/buld.h XyDiffChained).
+  size_t trees_built = 0;
+
   double total_seconds() const {
     return phase1_seconds + phase2_seconds + phase3_seconds +
            phase4_seconds + phase5_seconds;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 
 namespace xydiff {
 
@@ -15,30 +14,46 @@ const XmlNode* OwningElement(const XmlNode* node) {
   return node;
 }
 
-/// Identity of a label's storage, not of its bytes: hashing a pointer
-/// is cheaper than hashing the label.
-struct StorageHash {
-  size_t operator()(std::string_view s) const {
-    return std::hash<const void*>{}(s.data()) ^ s.size();
-  }
-};
-struct SameStorage {
-  bool operator()(std::string_view a, std::string_view b) const {
-    return a.data() == b.data() && a.size() == b.size();
-  }
-};
+/// Adds `sign` (+1 or -1) per element of a delta snapshot to `counts`.
+void CountSnapshot(const XmlNode& root, int sign,
+                   std::map<std::string, size_t, std::less<>>* counts) {
+  root.Visit([&](const XmlNode* n) {
+    if (!n->is_element()) return;
+    auto it = counts->find(n->label());
+    if (it == counts->end()) {
+      it = counts->emplace(std::string(n->label()), 0).first;
+    }
+    it->second += static_cast<size_t>(sign);
+    if (it->second == 0) counts->erase(it);
+  });
+}
 
 }  // namespace
+
+LabelCounts LabelCounts::Of(const XmlDocument& doc) {
+  LabelCounts out;
+  if (doc.root() != nullptr) CountSnapshot(*doc.root(), +1, &out.counts_);
+  return out;
+}
+
+void LabelCounts::Apply(const Delta& delta) {
+  for (const DeleteOp& op : delta.deletes()) {
+    if (op.subtree != nullptr) CountSnapshot(*op.subtree, -1, &counts_);
+  }
+  for (const InsertOp& op : delta.inserts()) {
+    if (op.subtree != nullptr) CountSnapshot(*op.subtree, +1, &counts_);
+  }
+}
 
 void ChangeStatistics::Accumulate(const Delta& delta,
                                   const XmlDocument& old_version,
                                   const XmlDocument& new_version) {
-  Accumulate(delta, new_version,
+  Accumulate(delta, LabelCounts::Of(new_version),
              DeltaNodeIndex::Build(delta, old_version, new_version));
 }
 
 void ChangeStatistics::Accumulate(const Delta& delta,
-                                  const XmlDocument& new_version,
+                                  const LabelCounts& new_version_labels,
                                   const DeltaNodeIndex& nodes) {
   ++delta_count_;
 
@@ -54,21 +69,9 @@ void ChangeStatistics::Accumulate(const Delta& delta,
 
   // Occurrences: count element instances in the *new* version plus the
   // deleted elements of the old one, so every changed element is also
-  // counted as occurring. Interned labels repeat heavily, so fold a local
-  // histogram into the map once per distinct label instead of paying a
-  // map lookup per node. The histogram is keyed by the label's storage:
-  // a parsed document stores each distinct label once, so hashing the
-  // pointer replaces hashing the bytes; equal labels stored apart are
-  // merged by the fold.
-  if (new_version.root() != nullptr) {
-    std::unordered_map<std::string_view, size_t, StorageHash, SameStorage>
-        histogram;
-    new_version.root()->Visit([&](const XmlNode* n) {
-      if (n->is_element()) ++histogram[n->label()];
-    });
-    for (const auto& [label, count] : histogram) {
-      stats_for(label).occurrences += count;
-    }
+  // counted as occurring — one map lookup per distinct label.
+  for (const auto& [label, count] : new_version_labels.counts()) {
+    stats_for(label).occurrences += count;
   }
 
   for (const InsertOp& op : delta.inserts()) {

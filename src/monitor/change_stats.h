@@ -12,6 +12,32 @@
 
 namespace xydiff {
 
+/// Element-label counts of one document version. A warehouse keeps one
+/// per document, beside its index, and moves it across every delta, so
+/// ChangeStatistics counts a version's occurrences without walking it.
+class LabelCounts {
+ public:
+  /// Counts the elements of `doc` (one walk).
+  static LabelCounts Of(const XmlDocument& doc);
+
+  /// Moves the counts from a delta's old version to its new one. A
+  /// delete or insert snapshot (delta/delta_builder.h) holds exactly the
+  /// nodes that leave or arrive — descendants that move are excised — so
+  /// only the changed subtrees are visited. Labels whose count drops to
+  /// zero are erased: the counts hold no label the version lacks.
+  void Apply(const Delta& delta);
+
+  /// Per-label element count.
+  const std::map<std::string, size_t, std::less<>>& counts() const {
+    return counts_;
+  }
+
+  bool operator==(const LabelCounts&) const = default;
+
+ private:
+  std::map<std::string, size_t, std::less<>> counts_;
+};
+
 /// Per-element-label change counters accumulated across deltas.
 ///
 /// §5.2: "the DTD ... is an excellent structure to record statistical
@@ -56,10 +82,11 @@ class ChangeStatistics {
   void Accumulate(const Delta& delta, const XmlDocument& old_version,
                   const XmlDocument& new_version);
 
-  /// Same, against a prebuilt DeltaNodeIndex (which must have been built
-  /// for this delta between the same two versions); the warehouse ingest
-  /// path shares one node resolution across all delta consumers.
-  void Accumulate(const Delta& delta, const XmlDocument& new_version,
+  /// Same, against the new version's label counts and the nodes the
+  /// delta names (both for this delta between the same two versions):
+  /// the warehouse ingest path keeps the one and gets the other from the
+  /// diff, so nothing here walks a whole version.
+  void Accumulate(const Delta& delta, const LabelCounts& new_version_labels,
                   const DeltaNodeIndex& nodes);
 
   /// Folds another collector into this one (used to merge per-thread

@@ -1,5 +1,7 @@
 #include "monitor/subscription.h"
 
+#include <optional>
+
 namespace xydiff {
 
 namespace {
@@ -11,16 +13,21 @@ const XmlNode* OwningElement(const XmlNode* node) {
   return node;
 }
 
+/// First text node of `node`'s subtree in document order, or nullptr.
+const XmlNode* FirstText(const XmlNode& node) {
+  if (node.is_text()) return &node;
+  for (size_t k = 0; k < node.child_count(); ++k) {
+    if (const XmlNode* text = FirstText(*node.child(k))) return text;
+  }
+  return nullptr;
+}
+
 /// Short description of an element including its first text descendant,
 /// so content filters have something to match ("inserted <Product>
 /// 'zy456'").
 std::string DescribeElement(const XmlNode& node) {
   std::string out = "<" + std::string(node.label()) + ">";
-  const XmlNode* hint = nullptr;
-  node.Visit([&](const XmlNode* n) {
-    if (hint == nullptr && n->is_text()) hint = n;
-  });
-  if (hint != nullptr) {
+  if (const XmlNode* hint = FirstText(node)) {
     out += " '";
     out += hint->text().substr(0, 48);
     out += "'";
@@ -66,18 +73,6 @@ bool Alerter::Unsubscribe(std::string_view id) {
   return false;
 }
 
-void Alerter::Fire(const Subscription& sub, ChangeKind kind,
-                   const XmlNode& node, std::string detail,
-                   std::vector<Alert>* alerts) const {
-  if (sub.kind.has_value() && *sub.kind != kind) return;
-  if (!sub.path.Matches(node)) return;
-  if (!sub.detail_contains.empty() &&
-      detail.find(sub.detail_contains) == std::string::npos) {
-    return;
-  }
-  alerts->push_back(Alert{sub.id, kind, node.xid(), std::move(detail)});
-}
-
 std::vector<Alert> Alerter::Evaluate(const Delta& delta,
                                      const XmlDocument& old_version,
                                      const XmlDocument& new_version) const {
@@ -91,62 +86,74 @@ std::vector<Alert> Alerter::Evaluate(const Delta& delta,
   std::vector<Alert> alerts;
   if (subscriptions_.empty() || delta.empty()) return alerts;
 
-  for (const InsertOp& op : delta.inserts()) {
-    const XmlNode* root = nodes.new_node(op.xid);
-    if (root == nullptr) continue;
-    root->Visit([&](const XmlNode* n) {
-      if (!n->is_element()) return;
-      for (const Subscription& sub : subscriptions_) {
-        Fire(sub, ChangeKind::kInsert, *n, "inserted " + DescribeElement(*n),
-             &alerts);
+  const auto wants = [this](ChangeKind kind) {
+    for (const Subscription& sub : subscriptions_) {
+      if (!sub.kind.has_value() || *sub.kind == kind) return true;
+    }
+    return false;
+  };
+  // Fires every subscription whose kind, path and content filter accept
+  // a change at `node`, in subscription order. The detail string is
+  // built only once some subscription's kind and path match, and shared.
+  const auto fire = [&](ChangeKind kind, const XmlNode& node,
+                        const auto& describe) {
+    std::optional<std::string> detail;
+    for (const Subscription& sub : subscriptions_) {
+      if (sub.kind.has_value() && *sub.kind != kind) continue;
+      if (!sub.path.Matches(node)) continue;
+      if (!detail.has_value()) detail = describe();
+      if (!sub.detail_contains.empty() &&
+          detail->find(sub.detail_contains) == std::string::npos) {
+        continue;
       }
-    });
+      alerts.push_back(Alert{sub.id, kind, node.xid(), *detail});
+    }
+  };
+
+  if (wants(ChangeKind::kInsert)) {
+    for (const InsertOp& op : delta.inserts()) {
+      const XmlNode* root = nodes.new_node(op.xid);
+      if (root == nullptr) continue;
+      root->Visit([&](const XmlNode* n) {
+        if (!n->is_element()) return;
+        fire(ChangeKind::kInsert, *n,
+             [n] { return "inserted " + DescribeElement(*n); });
+      });
+    }
   }
-  for (const DeleteOp& op : delta.deletes()) {
-    const XmlNode* root = nodes.old_node(op.xid);
-    if (root == nullptr) continue;
-    root->Visit([&](const XmlNode* n) {
-      if (!n->is_element()) return;
-      for (const Subscription& sub : subscriptions_) {
-        Fire(sub, ChangeKind::kDelete, *n, "deleted " + DescribeElement(*n),
-             &alerts);
-      }
-    });
+  if (wants(ChangeKind::kDelete)) {
+    for (const DeleteOp& op : delta.deletes()) {
+      const XmlNode* root = nodes.old_node(op.xid);
+      if (root == nullptr) continue;
+      root->Visit([&](const XmlNode* n) {
+        if (!n->is_element()) return;
+        fire(ChangeKind::kDelete, *n,
+             [n] { return "deleted " + DescribeElement(*n); });
+      });
+    }
   }
   for (const UpdateOp& op : delta.updates()) {
     const XmlNode* element = OwningElement(nodes.new_node(op.xid));
     if (element == nullptr) continue;
-    for (const Subscription& sub : subscriptions_) {
-      Fire(sub, ChangeKind::kUpdate, *element,
-           "text of <" + std::string(element->label()) +
-               "> changed from '" +
-               op.old_value + "' to '" + op.new_value + "'",
-           &alerts);
-    }
+    fire(ChangeKind::kUpdate, *element, [&] {
+      return "text of <" + std::string(element->label()) + "> changed from '" +
+             op.old_value + "' to '" + op.new_value + "'";
+    });
   }
   for (const MoveOp& op : delta.moves()) {
-    const XmlNode* node = nodes.new_node(op.xid);
-    if (node == nullptr) continue;
-    const XmlNode* element = OwningElement(node);
+    const XmlNode* element = OwningElement(nodes.new_node(op.xid));
     if (element == nullptr) continue;
-    for (const Subscription& sub : subscriptions_) {
-      Fire(sub, ChangeKind::kMove, *element,
-           element->is_element()
-               ? "moved <" + std::string(element->label()) + ">"
-                                 : "moved node",
-           &alerts);
-    }
+    fire(ChangeKind::kMove, *element, [element] {
+      return "moved <" + std::string(element->label()) + ">";
+    });
   }
   for (const AttributeOp& op : delta.attribute_ops()) {
     const XmlNode* element = nodes.new_node(op.element_xid);
     if (element == nullptr || !element->is_element()) continue;
-    for (const Subscription& sub : subscriptions_) {
-      Fire(sub, ChangeKind::kAttribute, *element,
-           "attribute '" + op.name + "' of <" +
-               std::string(element->label()) +
-               "> changed",
-           &alerts);
-    }
+    fire(ChangeKind::kAttribute, *element, [&] {
+      return "attribute '" + op.name + "' of <" +
+             std::string(element->label()) + "> changed";
+    });
   }
   return alerts;
 }

@@ -75,9 +75,6 @@ class Alerter {
     std::string detail_contains;  ///< Empty = no content filter.
   };
 
-  void Fire(const Subscription& sub, ChangeKind kind, const XmlNode& node,
-            std::string detail, std::vector<Alert>* alerts) const;
-
   std::vector<Subscription> subscriptions_;
 };
 

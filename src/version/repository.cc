@@ -23,14 +23,16 @@ VersionRepository VersionRepository::FromParts(XmlDocument current,
 
 Result<int> VersionRepository::Commit(XmlDocument new_version,
                                       const DiffOptions& options,
-                                      XmlDocument* superseded) {
+                                      XmlDocument* superseded,
+                                      DeltaNodeIndex* nodes) {
   if (current_.root() == nullptr) {
     return Status::Corruption("repository has no current version");
   }
   if (new_version.root() == nullptr) {
     return Status::InvalidArgument("cannot commit an empty document");
   }
-  Result<Delta> delta = XyDiff(&current_, &new_version, options, &last_stats_);
+  Result<Delta> delta = XyDiffChained(&current_, &new_version, options,
+                                      &carry_, &last_stats_, nodes);
   if (!delta.ok()) return delta.status();
   // Snapshot subtrees live in the delta's own arena and update values
   // are copied strings, so the delta is self-contained: the superseded

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "core/buld.h"
 #include "delta/options.h"
 #include "delta/delta.h"
+#include "delta/node_index.h"
 #include "util/annotations.h"
 #include "util/status.h"
 #include "xml/document.h"
@@ -74,8 +76,17 @@ class VersionRepository {
   /// version instead of having it destroyed — the diff reads but never
   /// mutates the old document, so consumers (index maintenance, alerter,
   /// statistics) get the exact pre-commit tree without paying a Clone.
+  /// When `nodes` is non-null it receives the nodes the new delta's
+  /// operations name, resolved while the delta was built; its old side
+  /// points into `*superseded`, so pass both or neither.
+  ///
+  /// The repository keeps the current version's signed tree (core/buld.h
+  /// SignedTree) from one commit to the next, so each commit builds and
+  /// signs only the new version. The first commit after construction,
+  /// FromParts or a failed commit builds both.
   Result<int> Commit(XmlDocument new_version, const DiffOptions& options = {},
-                     XmlDocument* superseded = nullptr);
+                     XmlDocument* superseded = nullptr,
+                     DeltaNodeIndex* nodes = nullptr);
 
   /// Number of committed versions (>= 1).
   int version_count() const { return static_cast<int>(deltas_.size()) + 1; }
@@ -151,6 +162,12 @@ class VersionRepository {
   /// DiffStats of the most recent Commit.
   const DiffStats& last_commit_stats() const { return last_stats_; }
 
+  /// Labels interned in the kept signed tree's table (0 when none is
+  /// kept): bounded at twice the labels the current version uses.
+  size_t carried_label_count() const {
+    return carry_ != nullptr ? carry_->labels.size() : 0;
+  }
+
  private:
   Status CheckVersion(int version) const;
 
@@ -160,6 +177,9 @@ class VersionRepository {
   std::vector<std::optional<EncodedDigest>> delta_digests_;
   std::optional<StoredCheckpoint> checkpoint_;
   DiffStats last_stats_;
+  // Signed tree of current_, or null. Valid because only Commit replaces
+  // current_, and it replaces this in the same step.
+  std::unique_ptr<SignedTree> carry_;
 };
 
 }  // namespace xydiff

@@ -203,11 +203,23 @@ Result<Manifest> ParseManifest(std::string_view text) {
   return manifest;
 }
 
-std::string SerializeCurrentXml(const XmlDocument& doc) {
+/// A current-version xml file, or InvalidArgument when ParseXml would not
+/// read it back as `doc`: the file would hold fewer text nodes than the
+/// XID map beside it, and loading it would fail.
+Result<std::string> SerializeCurrentXml(const XmlDocument& doc) {
   SerializeOptions options;
   options.xml_declaration = true;
   options.doctype = true;
-  return SerializeDocument(doc, options);
+  const XmlNode* unreadable = nullptr;
+  std::string xml = SerializeDocument(doc, options, &unreadable);
+  if (unreadable != nullptr) {
+    return Status::InvalidArgument(
+        "current version does not survive a reparse: text node " +
+        std::to_string(unreadable->xid()) + " under <" +
+        std::string(unreadable->parent()->label()) +
+        "> is empty, whitespace-only or next to another text node");
+  }
+  return xml;
 }
 
 std::string SerializeCurrentMeta(const XmlDocument& doc) {
@@ -499,8 +511,9 @@ Status SaveDocumentWithXids(const XmlDocument& doc,
     return Status::InvalidArgument("cannot persist an empty document");
   }
   env = Resolve(env);
-  XYDIFF_RETURN_IF_ERROR(
-      env->WriteFileAtomic(xml_path, SerializeCurrentXml(doc)));
+  Result<std::string> xml = SerializeCurrentXml(doc);
+  if (!xml.ok()) return xml.status();
+  XYDIFF_RETURN_IF_ERROR(env->WriteFileAtomic(xml_path, *xml));
   return env->WriteFileAtomic(meta_path, SerializeCurrentMeta(doc));
 }
 
@@ -613,16 +626,17 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
       return next;
     }
   }
-  const std::string xml_text = SerializeCurrentXml(head);
+  Result<std::string> xml_text = SerializeCurrentXml(head);
+  if (!xml_text.ok()) return xml_text.status();
   const std::string meta_text = SerializeCheckpointMeta(head, next.chain);
   const std::string xml_name = CurrentXmlName(next.epoch);
   const std::string meta_name = CurrentMetaName(next.epoch);
   XYDIFF_RETURN_IF_ERROR(
-      env->WriteFileAtomic(directory + "/" + xml_name, xml_text));
+      env->WriteFileAtomic(directory + "/" + xml_name, *xml_text));
   XYDIFF_RETURN_IF_ERROR(
       env->WriteFileAtomic(directory + "/" + meta_name, meta_text));
   const StoredCheckpoint written{next.chain,
-                                 {xml_text.size(), Crc64(xml_text)},
+                                 {xml_text->size(), Crc64(*xml_text)},
                                  {meta_text.size(), Crc64(meta_text)},
                                  doctype_crc};
   next.files.push_back({xml_name, written.xml.size, written.xml.crc});

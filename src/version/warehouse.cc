@@ -170,13 +170,16 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   MutexLock doc_lock(doc->mutex);
   if (created || doc->repo == nullptr) {
     doc->repo = std::make_unique<VersionRepository>(std::move(document));
+    doc->labels.reset();
     report.version = 1;
     report.first_version = true;
     return report;
   }
 
   // Commit hands back the superseded version instead of us deep-cloning
-  // it up front — the diff reads the old tree but never mutates it.
+  // it up front — the diff reads the old tree but never mutates it —
+  // and the nodes the delta names, resolved while the delta was built,
+  // which the index, the alerter and the statistics all consume.
   // The batch context rides into the diff through its options, so the
   // BULD matching loop observes the deadline cooperatively; on a
   // context error Commit leaves the repository untouched (the delta is
@@ -184,8 +187,9 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   DiffOptions diff_options = options_;
   diff_options.context = context;
   XmlDocument old_version;
-  Result<int> version =
-      doc->repo->Commit(std::move(document), diff_options, &old_version);
+  DeltaNodeIndex nodes;
+  Result<int> version = doc->repo->Commit(std::move(document), diff_options,
+                                          &old_version, &nodes);
   if (!version.ok()) return version.status();
   report.version = *version;
 
@@ -193,12 +197,12 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   if (!delta.ok()) return delta.status();
   report.operations = (*delta)->operation_count();
   report.delta_bytes = SerializedDeltaSize(**delta);
+  if (doc->labels.has_value()) {
+    doc->labels->Apply(**delta);
+  } else {
+    doc->labels = LabelCounts::Of(doc->repo->current());
+  }
 
-  // Resolve the delta's nodes once; index, alerter, and statistics all
-  // consume the same DeltaNodeIndex instead of each rebuilding an O(n)
-  // XID map over both versions.
-  const DeltaNodeIndex nodes =
-      DeltaNodeIndex::Build(**delta, old_version, doc->repo->current());
   if (doc->index.has_value()) {
     XYDIFF_RETURN_IF_ERROR(doc->index->Apply(**delta, nodes));
   }
@@ -211,7 +215,7 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   }
   // Statistics: heavy work in a local collector, cheap merge under lock.
   ChangeStatistics local;
-  local.Accumulate(**delta, doc->repo->current(), nodes);
+  local.Accumulate(**delta, *doc->labels, nodes);
   {
     MutexLock lock(stats_mutex_);
     stats_.Merge(local);

@@ -262,6 +262,10 @@ class Warehouse {
     /// current by applying every later delta. Empty until then, so a
     /// warehouse that never searches never pays for an index.
     std::optional<FullTextIndex> index XY_GUARDED_BY(mutex);
+    /// Element-label counts of the current version, for the statistics:
+    /// built by the first commit after the document is first seen or
+    /// loaded, then moved across every later delta.
+    std::optional<LabelCounts> labels XY_GUARDED_BY(mutex);
   };
 
   /// The document map is split into shards locked independently, so the

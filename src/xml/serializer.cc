@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/string_util.h"
+
 namespace xydiff {
 
 namespace {
@@ -45,8 +47,17 @@ size_t EscapedSize(std::string_view text, bool attribute) {
   return size;
 }
 
+/// True when text child `k` of `node` does not read back as that one
+/// node: ParseXml drops empty and whitespace-only text and merges
+/// adjacent text.
+bool UnreadableText(const XmlNode& node, size_t k) {
+  const XmlNode& text = *node.child(k);
+  return IsAllXmlWhitespace(text.text()) ||
+         (k > 0 && node.child(k - 1)->is_text());
+}
+
 void SerializeRec(const XmlNode& node, const SerializeOptions& options,
-                  int depth, std::string* out) {
+                  int depth, std::string* out, const XmlNode** unreadable) {
   if (node.is_text()) {
     if (options.pretty) {
       out->append(static_cast<size_t>(depth) * 2, ' ');
@@ -88,10 +99,14 @@ void SerializeRec(const XmlNode& node, const SerializeOptions& options,
   out->push_back('>');
   if (multiline) out->push_back('\n');
   for (size_t i = 0; i < node.child_count(); ++i) {
+    if (unreadable != nullptr && *unreadable == nullptr &&
+        node.child(i)->is_text() && UnreadableText(node, i)) {
+      *unreadable = node.child(i);
+    }
     if (options.pretty && !multiline) {
       AppendEscapedText(node.child(i)->text(), out);
     } else {
-      SerializeRec(*node.child(i), options, depth + 1, out);
+      SerializeRec(*node.child(i), options, depth + 1, out, unreadable);
     }
   }
   if (multiline) out->append(static_cast<size_t>(depth) * 2, ' ');
@@ -144,7 +159,7 @@ std::string SerializeNode(const XmlNode& node,
                           const SerializeOptions& options) {
   std::string out;
   out.reserve(node.SubtreeSize() * 24);  // Rough tag + content estimate.
-  SerializeRec(node, options, 0, &out);
+  SerializeRec(node, options, 0, &out, nullptr);
   return out;
 }
 
@@ -172,7 +187,9 @@ std::string SerializeDoctype(const XmlDocument& doc) {
 }
 
 std::string SerializeDocument(const XmlDocument& doc,
-                              const SerializeOptions& options) {
+                              const SerializeOptions& options,
+                              const XmlNode** unreadable) {
+  if (unreadable != nullptr) *unreadable = nullptr;
   std::string out;
   out.reserve(64 + doc.node_count() * 24);
   if (options.xml_declaration) {
@@ -181,7 +198,7 @@ std::string SerializeDocument(const XmlDocument& doc,
   }
   if (options.doctype) out.append(SerializeDoctype(doc));
   if (doc.root() != nullptr) {
-    SerializeRec(*doc.root(), options, 0, &out);
+    SerializeRec(*doc.root(), options, 0, &out, unreadable);
   }
   return out;
 }

@@ -27,9 +27,13 @@ struct SerializeOptions {
 std::string SerializeNode(const XmlNode& node,
                           const SerializeOptions& options = {});
 
-/// Serializes a whole document.
+/// Serializes a whole document. When `unreadable` is non-null it
+/// receives the first text node written in a form that ParseXml, under
+/// default options, does not read back as that one node — empty,
+/// whitespace-only, or next to another text node — or nullptr.
 std::string SerializeDocument(const XmlDocument& doc,
-                              const SerializeOptions& options = {});
+                              const SerializeOptions& options = {},
+                              const XmlNode** unreadable = nullptr);
 
 /// The DOCTYPE block SerializeDocument emits under `doctype = true`:
 /// one ID-attribute declaration per declared label that occurs in the

@@ -1,8 +1,14 @@
 #include "monitor/subscription.h"
 
+#include <optional>
+
 #include "core/buld.h"
 #include "gtest/gtest.h"
+#include "simulator/change_simulator.h"
+#include "simulator/doc_generator.h"
 #include "tests/test_util.h"
+#include "util/random.h"
+#include "xml/path.h"
 
 namespace xydiff {
 namespace {
@@ -173,6 +179,135 @@ TEST(AlerterTest, ContentFilterOnUpdateValue) {
   const auto hit = DiffAndEvaluate(
       &alerter, "<r><Price>$10</Price></r>", "<r><Price>$999</Price></r>");
   EXPECT_EQ(hit.size(), 1u);
+}
+
+// --- Equivalence with an eager reference evaluation --------------------
+
+struct ReferenceSubscription {
+  std::string id;
+  std::string path;
+  std::optional<ChangeKind> kind;
+  std::string detail_contains;
+};
+
+/// Every element's description, from a walk of its whole subtree.
+std::string ReferenceDescribe(const XmlNode& node) {
+  std::string out = "<" + std::string(node.label()) + ">";
+  const XmlNode* hint = nullptr;
+  node.Visit([&](const XmlNode* n) {
+    if (hint == nullptr && n->is_text()) hint = n;
+  });
+  if (hint != nullptr) {
+    out += " '" + std::string(hint->text().substr(0, 48)) + "'";
+  }
+  return out;
+}
+
+/// The alerter's rules applied eagerly: a detail string is built for
+/// every subscription at every changed element, then filtered.
+std::vector<Alert> ReferenceAlerts(
+    const std::vector<ReferenceSubscription>& subscriptions,
+    const Delta& delta, XmlDocument* old_doc, XmlDocument* new_doc) {
+  const auto old_index = old_doc->BuildXidIndex();
+  const auto new_index = new_doc->BuildXidIndex();
+  const auto find = [](const auto& index, Xid xid) -> const XmlNode* {
+    auto it = index.find(xid);
+    return it == index.end() ? nullptr : it->second;
+  };
+  const auto owning_element = [](const XmlNode* n) {
+    while (n != nullptr && !n->is_element()) n = n->parent();
+    return n;
+  };
+  std::vector<Alert> alerts;
+  const auto fire = [&](ChangeKind kind, const XmlNode& node,
+                        const std::string& detail) {
+    for (const ReferenceSubscription& sub : subscriptions) {
+      const XmlPath path = *XmlPath::Parse(sub.path);
+      if (sub.kind.has_value() && *sub.kind != kind) continue;
+      if (!path.Matches(node)) continue;
+      if (!sub.detail_contains.empty() &&
+          detail.find(sub.detail_contains) == std::string::npos) {
+        continue;
+      }
+      alerts.push_back(Alert{sub.id, kind, node.xid(), detail});
+    }
+  };
+  for (const InsertOp& op : delta.inserts()) {
+    find(new_index, op.xid)->Visit([&](const XmlNode* n) {
+      if (n->is_element()) {
+        fire(ChangeKind::kInsert, *n, "inserted " + ReferenceDescribe(*n));
+      }
+    });
+  }
+  for (const DeleteOp& op : delta.deletes()) {
+    find(old_index, op.xid)->Visit([&](const XmlNode* n) {
+      if (n->is_element()) {
+        fire(ChangeKind::kDelete, *n, "deleted " + ReferenceDescribe(*n));
+      }
+    });
+  }
+  for (const UpdateOp& op : delta.updates()) {
+    const XmlNode* element = owning_element(find(new_index, op.xid));
+    fire(ChangeKind::kUpdate, *element,
+         "text of <" + std::string(element->label()) + "> changed from '" +
+             op.old_value + "' to '" + op.new_value + "'");
+  }
+  for (const MoveOp& op : delta.moves()) {
+    const XmlNode* element = owning_element(find(new_index, op.xid));
+    fire(ChangeKind::kMove, *element,
+         "moved <" + std::string(element->label()) + ">");
+  }
+  for (const AttributeOp& op : delta.attribute_ops()) {
+    const XmlNode* element = find(new_index, op.element_xid);
+    fire(ChangeKind::kAttribute, *element,
+         "attribute '" + op.name + "' of <" + std::string(element->label()) +
+             "> changed");
+  }
+  return alerts;
+}
+
+TEST(AlerterTest, SimulatorCorpusAlertsMatchTheEagerReference) {
+  const std::vector<ReferenceSubscription> subscriptions = {
+      {"all", "//*", std::nullopt, ""},
+      {"inserts", "//*", ChangeKind::kInsert, ""},
+      {"deep-deletes", "/*/*//*", ChangeKind::kDelete, ""},
+      {"updates", "//*", ChangeKind::kUpdate, ""},
+      {"moves", "//*", ChangeKind::kMove, ""},
+      {"content-e", "//*", std::nullopt, "e"},
+      {"content-none", "//*", ChangeKind::kInsert, "no such text"},
+      {"top", "/*", std::nullopt, ""},
+  };
+  Alerter alerter;
+  for (const ReferenceSubscription& sub : subscriptions) {
+    XY_ASSERT_OK(alerter.Subscribe(sub.id, sub.path, sub.kind,
+                                   sub.detail_contains));
+  }
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    DocGenOptions gen;
+    gen.target_bytes = 1024 * seed;
+    XmlDocument old_doc = GenerateDocument(&rng, gen);
+    old_doc.AssignInitialXids();
+    Result<SimulatedChange> change =
+        SimulateChanges(old_doc, ChangeSimOptions{}, &rng);
+    ASSERT_TRUE(change.ok());
+    XmlDocument new_doc = std::move(change->new_version);
+    Result<Delta> delta = XyDiff(&old_doc, &new_doc);
+    ASSERT_TRUE(delta.ok());
+    const std::vector<Alert> got = alerter.Evaluate(*delta, old_doc, new_doc);
+    const std::vector<Alert> want =
+        ReferenceAlerts(subscriptions, *delta, &old_doc, &new_doc);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].subscription_id, want[i].subscription_id);
+      EXPECT_EQ(got[i].kind, want[i].kind);
+      EXPECT_EQ(got[i].xid, want[i].xid);
+      EXPECT_EQ(got[i].detail, want[i].detail);
+    }
+    compared += got.size();
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 TEST(AlerterTest, ChangeKindNames) {

@@ -1,9 +1,15 @@
 #include "version/warehouse.h"
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 
+#include "core/buld.h"
 #include "gtest/gtest.h"
+#include "monitor/change_stats.h"
 #include "simulator/change_simulator.h"
 #include "simulator/doc_generator.h"
 #include "simulator/web_corpus.h"
@@ -68,6 +74,52 @@ TEST(WarehouseTest, DiffBatchFeedsStatisticsLikeIngest) {
         << label;
   }
   EXPECT_EQ(batched.StatsReport(), ingested.StatsReport());
+}
+
+// A warehouse keeps each document's label counts and moves them across
+// every delta; its statistics must equal a collector that walks every
+// version, through a Save/Load that makes the counts start over.
+TEST(WarehouseTest, KeptLabelCountsMatchWalkingEveryVersion) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xydiff_warehouse_labels_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  Warehouse warehouse;
+  ChangeStatistics reference;
+  std::set<std::string> labels;
+  Rng rng(91);
+  DocGenOptions gen;
+  gen.target_bytes = 4096;
+  XmlDocument current = MustParse(SerializeDocument(GenerateDocument(&rng, gen)));
+  current.AssignInitialXids();
+  ASSERT_TRUE(warehouse.Ingest("http://d", current.Clone()).ok());
+  std::unique_ptr<Warehouse> loaded;
+  for (int v = 0; v < 12; ++v) {
+    if (v == 6) {
+      XY_ASSERT_OK(warehouse.Save(dir.string()));
+      Result<std::unique_ptr<Warehouse>> load = Warehouse::Load(dir.string());
+      ASSERT_TRUE(load.ok()) << load.status().ToString();
+      loaded = std::move(*load);
+    }
+    Result<SimulatedChange> change =
+        SimulateChanges(current, ChangeSimOptions{}, &rng);
+    ASSERT_TRUE(change.ok());
+    const std::string text = SerializeDocument(change->new_version);
+    XmlDocument next = MustParse(text);
+    Result<Delta> delta = XyDiff(&current, &next);
+    ASSERT_TRUE(delta.ok());
+    if (v >= 6) reference.Accumulate(*delta, current, next);
+    next.root()->Visit([&](const XmlNode* n) {
+      if (n->is_element()) labels.emplace(n->label());
+    });
+    Warehouse& target = v < 6 ? warehouse : *loaded;
+    ASSERT_TRUE(target.Ingest("http://d", MustParse(text)).ok());
+    current = std::move(next);
+  }
+  fs::remove_all(dir);
+  for (const std::string& label : labels) {
+    EXPECT_TRUE(loaded->StatsForLabel(label) == reference.ForLabel(label))
+        << label;
+  }
 }
 
 TEST(WarehouseTest, CheckoutHistoricalVersions) {
