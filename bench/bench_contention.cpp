@@ -12,7 +12,7 @@
 //   * simulated multi-warehouse sharding: the corpus is partitioned
 //     over {1, 2, 4, 16} independent warehouses diffed concurrently.
 //     Sharding removes every cross-document lock (stats merge, alerter,
-//     shard maps), so the spread between 1 and 16 shards bounds what
+//     document map), so the spread between 1 and 16 shards bounds what
 //     those shared locks cost. An Amdahl projection from the measured
 //     serial fraction is reported next to the measured numbers;
 //   * commit-point counting: every env operation of the store stage is

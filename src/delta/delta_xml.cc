@@ -1,5 +1,7 @@
 #include "delta/delta_xml.h"
 
+#include <charconv>
+
 #include "util/string_util.h"
 #include "xid/xid_map.h"
 #include "xml/xid_map_tree.h"
@@ -20,10 +22,6 @@ constexpr std::string_view kNewLabel = "xy:new";
 constexpr std::string_view kAttrInsertLabel = "xy:attr-insert";
 constexpr std::string_view kAttrDeleteLabel = "xy:attr-delete";
 constexpr std::string_view kAttrUpdateLabel = "xy:attr-update";
-
-void SetXidAttr(XmlNode* node, std::string_view name, Xid xid) {
-  node->SetAttribute(name, std::to_string(xid));
-}
 
 Result<Xid> GetXidAttr(const XmlNode& node, std::string_view name) {
   const std::string_view* value = node.FindAttribute(name);
@@ -49,20 +47,6 @@ Result<uint32_t> GetPosAttr(const XmlNode& node, std::string_view name) {
                               ">: '" + std::string(name) + "' out of range");
   }
   return static_cast<uint32_t>(*value);
-}
-
-/// Emits a delete/insert op element with its snapshot and XID-map.
-XmlNodePtr SnapshotOpToXml(std::string_view label, Xid xid, Xid parent_xid,
-                           uint32_t pos, const XmlNode* subtree) {
-  auto op = XmlNode::Element(label);
-  SetXidAttr(op.get(), "xid", xid);
-  SetXidAttr(op.get(), "parentXid", parent_xid);
-  op->SetAttribute("pos", std::to_string(pos));
-  if (subtree != nullptr) {
-    op->SetAttribute("xidMap", XidMapFromSubtree(*subtree).ToString());
-    op->AppendChild(subtree->Clone());
-  }
-  return op;
 }
 
 /// Text payload of a wrapper like <xy:old>: the concatenated text of its
@@ -141,239 +125,170 @@ Result<AttributeOp> ParseAttrOp(const XmlNode& node, AttributeOpKind kind) {
   return op;
 }
 
-// Byte counting for SerializedDeltaSize: the sizes of the elements
-// DeltaToXml builds, as the compact serializer writes them.
-
-size_t DecimalDigits(uint64_t value) {
-  size_t digits = 1;
-  for (; value >= 10; value /= 10) ++digits;
-  return digits;
-}
-
-/// ` name="value"` with the value already measured.
-size_t AttrSize(std::string_view name, size_t value_size) {
-  return name.size() + value_size + 4;
-}
-
-size_t AttrSize(std::string_view name, std::string_view value) {
-  return AttrSize(name, EscapedAttributeSize(value));
-}
-
-size_t NumberAttrSize(std::string_view name, uint64_t value) {
-  return AttrSize(name, DecimalDigits(value));
-}
-
-/// `<label attrs/>` when childless, else `<label attrs>content</label>`.
-size_t ElementSize(std::string_view label, size_t attrs, bool has_children,
-                   size_t content) {
-  if (!has_children) return label.size() + attrs + 3;
-  return 2 * label.size() + attrs + content + 5;
-}
-
-/// Length of XidMap::ToString() for the subtree's postorder XIDs:
-/// "(" runs joined by ";" ")", a run being "a" or "a-b".
-class XidMapTextSize {
+/// Writes the delta's XML form straight from its operations into a sink
+/// (xml/serializer.h): SerializeDelta's string, SerializedDeltaSize's
+/// counter. Snapshots go through the serializer's own WriteNode.
+template <typename Sink>
+class DeltaWriter {
  public:
-  explicit XidMapTextSize(const XmlNode& subtree) { Visit(subtree); }
+  explicit DeltaWriter(Sink* sink) : sink_(sink) {}
 
-  size_t size() const {
-    return 2 + bytes_ + RunSize() + (runs_ > 0 ? runs_ - 1 : 0);
+  /// The pretty form puts each operation on its own line, indented two
+  /// spaces; operations themselves stay compact, since whitespace inside
+  /// a snapshot would change its character data.
+  void Write(const Delta& delta, bool pretty) {
+    const std::string_view indent = pretty ? "  " : "";
+    const std::string_view newline = pretty ? "\n" : "";
+    Put('<', kDeltaLabel);
+    Attr("oldNextXid", delta.old_next_xid());
+    Attr("newNextXid", delta.new_next_xid());
+    if (delta.operation_count() == 0) return Put("/>", newline);
+    Put('>', newline);
+    auto write_all = [&](const auto& ops) {
+      for (const auto& op : ops) {
+        Put(indent);
+        Op(op);
+        Put(newline);
+      }
+    };
+    write_all(delta.deletes());
+    write_all(delta.inserts());
+    write_all(delta.moves());
+    write_all(delta.updates());
+    write_all(delta.attribute_ops());
+    Put("</", kDeltaLabel, '>', newline);
   }
 
  private:
-  void Visit(const XmlNode& node) {
-    for (size_t i = 0; i < node.child_count(); ++i) Visit(*node.child(i));
-    const Xid xid = node.xid();
-    if (runs_ > 0 && xid == last_ + 1) {
-      last_ = xid;
+  /// One postorder run of XIDs, a..b; `count` runs so far.
+  struct Run {
+    size_t count = 0;
+    Xid first = kNoXid;
+    Xid last = kNoXid;
+  };
+
+  template <typename... Pieces>
+  void Put(const Pieces&... pieces) {
+    (sink_->Append(pieces), ...);
+  }
+
+  void Number(uint64_t value) {
+    char digits[20];
+    const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    Put(std::string_view(digits, end - digits));
+  }
+
+  void Attr(std::string_view name, uint64_t value) {
+    Put(' ', name, "=\"");
+    Number(value);
+    Put('"');
+  }
+
+  void Attr(std::string_view name, std::string_view value) {
+    Put(' ', name, "=\"");
+    WriteEscaped(value, /*attribute=*/true, sink_);
+    Put('"');
+  }
+
+  /// A delete or insert: position, XID-map, snapshot.
+  template <typename SnapshotOp>
+  void Snapshot(std::string_view label, const SnapshotOp& op) {
+    Put('<', label);
+    Attr("xid", op.xid);
+    Attr("parentXid", op.parent_xid);
+    Attr("pos", op.pos);
+    if (op.subtree == nullptr) return Put("/>");
+    Put(" xidMap=\"(");
+    Run run;
+    Runs(*op.subtree, &run);
+    CloseRun(run);
+    Put(")\">");
+    WriteNode(*op.subtree, sink_);
+    Put("</", label, '>');
+  }
+
+  /// XidMap::ToString() of the subtree's postorder XIDs, runs "a" or
+  /// "a-b" joined by ";", in one walk and without building the map.
+  void Runs(const XmlNode& node, Run* run) {
+    for (size_t i = 0; i < node.child_count(); ++i) Runs(*node.child(i), run);
+    if (run->count > 0 && node.xid() == run->last + 1) {
+      run->last = node.xid();
       return;
     }
-    bytes_ += RunSize();  // Closes the previous run.
-    ++runs_;
-    first_ = last_ = xid;
+    CloseRun(*run);
+    *run = Run{run->count + 1, node.xid(), node.xid()};
   }
 
-  size_t RunSize() const {
-    if (runs_ == 0) return 0;
-    return DecimalDigits(first_) +
-           (last_ == first_ ? 0 : 1 + DecimalDigits(last_));
+  void CloseRun(const Run& run) {
+    if (run.count == 0) return;
+    if (run.count > 1) Put(';');
+    Number(run.first);
+    if (run.last == run.first) return;
+    Put('-');
+    Number(run.last);
   }
 
-  size_t runs_ = 0;
-  size_t bytes_ = 0;  // Every run before the open one.
-  Xid first_ = kNoXid;
-  Xid last_ = kNoXid;
+  void Op(const DeleteOp& op) { Snapshot(kDeleteLabel, op); }
+  void Op(const InsertOp& op) { Snapshot(kInsertLabel, op); }
+
+  void Op(const MoveOp& op) {
+    Put('<', kMoveLabel);
+    Attr("xid", op.xid);
+    Attr("fromParent", op.from_parent);
+    Attr("fromPos", op.from_pos);
+    Attr("toParent", op.to_parent);
+    Attr("toPos", op.to_pos);
+    Put("/>");
+  }
+
+  void Op(const UpdateOp& op) {
+    Put('<', kUpdateLabel);
+    Attr("xid", op.xid);
+    if (op.prefix != 0) Attr("prefix", op.prefix);
+    if (op.suffix != 0) Attr("suffix", op.suffix);
+    Put('>');
+    Value(kOldLabel, op.old_value);
+    Value(kNewLabel, op.new_value);
+    Put("</", kUpdateLabel, '>');
+  }
+
+  /// `<label>value</label>`, or `<label/>` for an empty value.
+  void Value(std::string_view label, std::string_view value) {
+    if (value.empty()) return Put('<', label, "/>");
+    Put('<', label, '>');
+    WriteEscaped(value, /*attribute=*/false, sink_);
+    Put("</", label, '>');
+  }
+
+  void Op(const AttributeOp& op) {
+    const bool insert = op.kind == AttributeOpKind::kInsert;
+    const bool update = op.kind == AttributeOpKind::kUpdate;
+    Put('<', insert   ? kAttrInsertLabel
+             : update ? kAttrUpdateLabel
+                      : kAttrDeleteLabel);
+    Attr("xid", op.element_xid);
+    Attr("name", op.name);
+    if (!insert) Attr(update ? "old" : "value", op.old_value);
+    if (insert || update) Attr(update ? "new" : "value", op.new_value);
+    Put("/>");
+  }
+
+  Sink* sink_;
 };
-
-size_t SnapshotOpSize(std::string_view label, Xid xid, Xid parent_xid,
-                      uint32_t pos, const XmlNode* subtree) {
-  size_t attrs = NumberAttrSize("xid", xid) +
-                 NumberAttrSize("parentXid", parent_xid) +
-                 NumberAttrSize("pos", pos);
-  if (subtree == nullptr) return ElementSize(label, attrs, false, 0);
-  attrs += AttrSize("xidMap", XidMapTextSize(*subtree).size());
-  return ElementSize(label, attrs, true, SerializedNodeSize(*subtree));
-}
-
-size_t UpdateValueSize(std::string_view label, std::string_view value) {
-  return ElementSize(label, 0, !value.empty(), EscapedTextSize(value));
-}
 
 }  // namespace
 
-XmlDocument DeltaToXml(const Delta& delta) {
-  auto root = XmlNode::Element(kDeltaLabel);
-  SetXidAttr(root.get(), "oldNextXid", delta.old_next_xid());
-  SetXidAttr(root.get(), "newNextXid", delta.new_next_xid());
-
-  for (const DeleteOp& op : delta.deletes()) {
-    root->AppendChild(SnapshotOpToXml(kDeleteLabel, op.xid, op.parent_xid,
-                                      op.pos, op.subtree.get()));
-  }
-  for (const InsertOp& op : delta.inserts()) {
-    root->AppendChild(SnapshotOpToXml(kInsertLabel, op.xid, op.parent_xid,
-                                      op.pos, op.subtree.get()));
-  }
-  for (const MoveOp& op : delta.moves()) {
-    auto move = XmlNode::Element(kMoveLabel);
-    SetXidAttr(move.get(), "xid", op.xid);
-    SetXidAttr(move.get(), "fromParent", op.from_parent);
-    move->SetAttribute("fromPos", std::to_string(op.from_pos));
-    SetXidAttr(move.get(), "toParent", op.to_parent);
-    move->SetAttribute("toPos", std::to_string(op.to_pos));
-    root->AppendChild(std::move(move));
-  }
-  for (const UpdateOp& op : delta.updates()) {
-    auto update = XmlNode::Element(kUpdateLabel);
-    SetXidAttr(update.get(), "xid", op.xid);
-    if (op.prefix != 0) {
-      update->SetAttribute("prefix", std::to_string(op.prefix));
-    }
-    if (op.suffix != 0) {
-      update->SetAttribute("suffix", std::to_string(op.suffix));
-    }
-    auto old_node = XmlNode::Element(kOldLabel);
-    if (!op.old_value.empty()) {
-      old_node->AppendChild(XmlNode::Text(op.old_value));
-    }
-    auto new_node = XmlNode::Element(kNewLabel);
-    if (!op.new_value.empty()) {
-      new_node->AppendChild(XmlNode::Text(op.new_value));
-    }
-    update->AppendChild(std::move(old_node));
-    update->AppendChild(std::move(new_node));
-    root->AppendChild(std::move(update));
-  }
-  for (const AttributeOp& op : delta.attribute_ops()) {
-    std::string_view label;
-    switch (op.kind) {
-      case AttributeOpKind::kInsert: label = kAttrInsertLabel; break;
-      case AttributeOpKind::kDelete: label = kAttrDeleteLabel; break;
-      case AttributeOpKind::kUpdate: label = kAttrUpdateLabel; break;
-    }
-    auto attr = XmlNode::Element(label);
-    SetXidAttr(attr.get(), "xid", op.element_xid);
-    attr->SetAttribute("name", op.name);
-    switch (op.kind) {
-      case AttributeOpKind::kInsert:
-        attr->SetAttribute("value", op.new_value);
-        break;
-      case AttributeOpKind::kDelete:
-        attr->SetAttribute("value", op.old_value);
-        break;
-      case AttributeOpKind::kUpdate:
-        attr->SetAttribute("old", op.old_value);
-        attr->SetAttribute("new", op.new_value);
-        break;
-    }
-    root->AppendChild(std::move(attr));
-  }
-  return XmlDocument(std::move(root));
-}
-
 std::string SerializeDelta(const Delta& delta, bool pretty) {
-  const XmlDocument doc = DeltaToXml(delta);
-  if (!pretty) return SerializeDocument(doc);
-  // Pretty form: one compact operation per line. Snapshots must stay
-  // byte-exact (indentation inside them would change the character data),
-  // so only the op list is laid out, never op contents.
-  const XmlNode& root = *doc.root();
-  std::string out = "<";
-  out += root.label();
-  for (const auto& attr : root.attributes()) {
-    out += ' ';
-    out += attr.name;
-    out += "=\"";
-    out += EscapeAttribute(attr.value);
-    out += '"';
-  }
-  if (root.child_count() == 0) {
-    out += "/>\n";
-    return out;
-  }
-  out += ">\n";
-  for (size_t i = 0; i < root.child_count(); ++i) {
-    out += "  ";
-    out += SerializeNode(*root.child(i));
-    out += '\n';
-  }
-  out += "</";
-  out += root.label();
-  out += ">\n";
+  std::string out;
+  StringSink sink(&out);
+  DeltaWriter(&sink).Write(delta, pretty);
   return out;
 }
 
 size_t SerializedDeltaSize(const Delta& delta) {
-  size_t content = 0;
-  for (const DeleteOp& op : delta.deletes()) {
-    content += SnapshotOpSize(kDeleteLabel, op.xid, op.parent_xid, op.pos,
-                              op.subtree.get());
-  }
-  for (const InsertOp& op : delta.inserts()) {
-    content += SnapshotOpSize(kInsertLabel, op.xid, op.parent_xid, op.pos,
-                              op.subtree.get());
-  }
-  for (const MoveOp& op : delta.moves()) {
-    content += ElementSize(kMoveLabel,
-                           NumberAttrSize("xid", op.xid) +
-                               NumberAttrSize("fromParent", op.from_parent) +
-                               NumberAttrSize("fromPos", op.from_pos) +
-                               NumberAttrSize("toParent", op.to_parent) +
-                               NumberAttrSize("toPos", op.to_pos),
-                           false, 0);
-  }
-  for (const UpdateOp& op : delta.updates()) {
-    size_t attrs = NumberAttrSize("xid", op.xid);
-    if (op.prefix != 0) attrs += NumberAttrSize("prefix", op.prefix);
-    if (op.suffix != 0) attrs += NumberAttrSize("suffix", op.suffix);
-    content += ElementSize(kUpdateLabel, attrs, true,
-                           UpdateValueSize(kOldLabel, op.old_value) +
-                               UpdateValueSize(kNewLabel, op.new_value));
-  }
-  for (const AttributeOp& op : delta.attribute_ops()) {
-    size_t attrs =
-        NumberAttrSize("xid", op.element_xid) + AttrSize("name", op.name);
-    std::string_view label;
-    switch (op.kind) {
-      case AttributeOpKind::kInsert:
-        label = kAttrInsertLabel;
-        attrs += AttrSize("value", op.new_value);
-        break;
-      case AttributeOpKind::kDelete:
-        label = kAttrDeleteLabel;
-        attrs += AttrSize("value", op.old_value);
-        break;
-      case AttributeOpKind::kUpdate:
-        label = kAttrUpdateLabel;
-        attrs += AttrSize("old", op.old_value) + AttrSize("new", op.new_value);
-        break;
-    }
-    content += ElementSize(label, attrs, false, 0);
-  }
-  const size_t root_attrs = NumberAttrSize("oldNextXid", delta.old_next_xid()) +
-                            NumberAttrSize("newNextXid", delta.new_next_xid());
-  return ElementSize(kDeltaLabel, root_attrs, delta.operation_count() > 0,
-                     content);
+  CountingSink count;
+  DeltaWriter(&count).Write(delta, /*pretty=*/false);
+  return count.size();
 }
 
 Result<Delta> DeltaFromXml(const XmlDocument& doc) {

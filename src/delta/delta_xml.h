@@ -26,17 +26,19 @@ namespace xydiff {
 ///
 /// Subtree snapshots carry their XID-maps (postorder XID lists) so that
 /// persistent identification survives storage.
+///
+/// One writer lays the format out, straight from the operations: it
+/// builds no XML tree and clones no snapshot. SerializeDelta runs it
+/// into a string, SerializedDeltaSize into a byte counter.
 
-/// Converts the delta into its XML document form.
-XmlDocument DeltaToXml(const Delta& delta);
-
-/// Serializes the delta to XML text. The compact (non-pretty) form
-/// round-trips exactly through ParseDelta.
+/// Serializes the delta to XML text. The compact form has no whitespace
+/// outside the values and round-trips exactly through ParseDelta. The
+/// pretty form puts each operation, itself compact, on its own line
+/// indented two spaces, and parses to the same delta.
 std::string SerializeDelta(const Delta& delta, bool pretty = false);
 
-/// Exactly SerializeDelta(delta).size(), counted from the operations —
-/// escapes, digits and XID-map runs — without building the XML tree,
-/// cloning a snapshot or producing the text.
+/// Exactly SerializeDelta(delta).size(): the same writer, counting
+/// instead of appending, so it allocates nothing.
 size_t SerializedDeltaSize(const Delta& delta);
 
 /// Reconstructs a delta from its XML document form.

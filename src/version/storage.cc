@@ -146,22 +146,34 @@ std::string FormatManifest(const Manifest& manifest) {
   return body + "crc " + Hex64(Crc64(body)) + "\n";
 }
 
+/// Checks the `crc <hex>` line that ends a self-checksummed file (the
+/// MANIFEST, the batch journal): the last such line, whose value must be
+/// the Crc64 of everything before it. Returns that line's offset, the
+/// end of the body. Any deviation is Corruption naming `what`.
+Result<size_t> VerifyChecksumLine(std::string_view text,
+                                  const std::string& what) {
+  const size_t crc_line = text.rfind("crc ");
+  if (crc_line == std::string::npos ||
+      (crc_line != 0 && text[crc_line - 1] != '\n')) {
+    return Status::Corruption(what + " has no checksum line");
+  }
+  uint64_t stored_crc = 0;
+  if (!ParseHex64(Trim(text.substr(crc_line + 4)), &stored_crc)) {
+    return Status::Corruption(what + " checksum line is malformed");
+  }
+  if (Crc64(text.substr(0, crc_line)) != stored_crc) {
+    return Status::Corruption(what + " failed its self-checksum");
+  }
+  return crc_line;
+}
+
 /// Strict parse with self-checksum verification: any deviation is
 /// Corruption (the caller decides whether that means salvage or a fresh
 /// epoch counter).
 Result<Manifest> ParseManifest(std::string_view text) {
-  const size_t crc_line = text.rfind("crc ");
-  if (crc_line == std::string::npos ||
-      (crc_line != 0 && text[crc_line - 1] != '\n')) {
-    return Status::Corruption("MANIFEST has no checksum line");
-  }
-  uint64_t stored_crc = 0;
-  if (!ParseHex64(Trim(text.substr(crc_line + 4)), &stored_crc)) {
-    return Status::Corruption("MANIFEST checksum line is malformed");
-  }
-  if (Crc64(text.substr(0, crc_line)) != stored_crc) {
-    return Status::Corruption("MANIFEST failed its self-checksum");
-  }
+  Result<size_t> checked = VerifyChecksumLine(text, "MANIFEST");
+  if (!checked.ok()) return checked.status();
+  const size_t crc_line = *checked;
 
   Manifest manifest;
   const std::vector<std::string_view> lines =
@@ -539,10 +551,11 @@ namespace {
 /// Caller holds the directory's lock.
 ///
 /// Chain deltas are encoded only when the repository holds no digest for
-/// them or the old manifest disagrees with it; each digest computed here
-/// is recorded in `repo`, so a steady-state save encodes just the deltas
-/// committed since the last one. A fresh checkpoint is recorded in `repo`
-/// too.
+/// them or the old manifest disagrees with it. Once every file is
+/// written, the digests and a fresh checkpoint are recorded in `repo`,
+/// so a steady-state save encodes just the deltas committed since the
+/// last one. A refused save (InvalidArgument: a checkpoint that would
+/// not reload) writes no file.
 Result<Manifest> WriteRepositoryData(VersionRepository& repo,
                                      const std::string& directory, Env* env) {
   if (repo.current().root() == nullptr) {
@@ -577,6 +590,14 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
            env->FileExists(directory + "/" + entry.name);
   };
 
+  // Every file's bytes are settled before the first is written, so a
+  // refused save leaves the directory as it found it.
+  struct PendingFile {
+    std::string name;
+    std::string bytes;
+  };
+  std::vector<PendingFile> writes;
+
   // Delta chain, in the compact binary codec (delta/codec.h). A delta
   // whose recorded digest the old manifest already lists is kept without
   // being encoded again.
@@ -590,13 +611,9 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
         continue;
       }
     }
-    const std::string bytes = EncodeDeltaBinary(repo.deltas()[i]);
+    std::string bytes = EncodeDeltaBinary(repo.deltas()[i]);
     ManifestFile entry{std::move(name), bytes.size(), Crc64(bytes)};
-    if (!unchanged(entry)) {
-      XYDIFF_RETURN_IF_ERROR(
-          env->WriteFileAtomic(directory + "/" + entry.name, bytes));
-    }
-    repo.set_delta_digest(i, {entry.size, entry.crc});
+    if (!unchanged(entry)) writes.push_back({entry.name, std::move(bytes)});
     next.files.push_back(std::move(entry));
   }
 
@@ -610,6 +627,7 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
   const XmlDocument& head = repo.current();
   const uint64_t doctype_crc = Crc64(SerializeDoctype(head));
   const int old_epoch = old != nullptr ? CheckpointEpoch(*old) : 0;
+  bool carried = false;
   if (const std::optional<StoredCheckpoint>& own = repo.checkpoint();
       own.has_value() && old_epoch > 0 && own->chain <= next.chain &&
       own->doctype_crc == doctype_crc) {
@@ -623,29 +641,38 @@ Result<Manifest> WriteRepositoryData(VersionRepository& repo,
     if (since <= xml.size && unchanged(xml) && unchanged(meta)) {
       next.files.push_back(std::move(xml));
       next.files.push_back(std::move(meta));
-      return next;
+      carried = true;
     }
   }
-  Result<std::string> xml_text = SerializeCurrentXml(head);
-  if (!xml_text.ok()) return xml_text.status();
-  const std::string meta_text = SerializeCheckpointMeta(head, next.chain);
-  const std::string xml_name = CurrentXmlName(next.epoch);
-  const std::string meta_name = CurrentMetaName(next.epoch);
-  XYDIFF_RETURN_IF_ERROR(
-      env->WriteFileAtomic(directory + "/" + xml_name, *xml_text));
-  XYDIFF_RETURN_IF_ERROR(
-      env->WriteFileAtomic(directory + "/" + meta_name, meta_text));
-  const StoredCheckpoint written{next.chain,
-                                 {xml_text->size(), Crc64(*xml_text)},
-                                 {meta_text.size(), Crc64(meta_text)},
-                                 doctype_crc};
-  next.files.push_back({xml_name, written.xml.size, written.xml.crc});
-  next.files.push_back({meta_name, written.meta.size, written.meta.crc});
-  if (old_epoch > 0) {
-    next.prev_epoch = old_epoch;
-    next.prev_chain = old->chain;
+  std::optional<StoredCheckpoint> written;
+  if (!carried) {
+    Result<std::string> xml_text = SerializeCurrentXml(head);
+    if (!xml_text.ok()) return xml_text.status();
+    std::string meta_text = SerializeCheckpointMeta(head, next.chain);
+    written = StoredCheckpoint{next.chain,
+                               {xml_text->size(), Crc64(*xml_text)},
+                               {meta_text.size(), Crc64(meta_text)},
+                               doctype_crc};
+    next.files.push_back(
+        {CurrentXmlName(next.epoch), written->xml.size, written->xml.crc});
+    next.files.push_back(
+        {CurrentMetaName(next.epoch), written->meta.size, written->meta.crc});
+    writes.push_back({CurrentXmlName(next.epoch), std::move(*xml_text)});
+    writes.push_back({CurrentMetaName(next.epoch), std::move(meta_text)});
+    if (old_epoch > 0) {
+      next.prev_epoch = old_epoch;
+      next.prev_chain = old->chain;
+    }
   }
-  repo.set_checkpoint(written);
+
+  for (const PendingFile& file : writes) {
+    XYDIFF_RETURN_IF_ERROR(
+        env->WriteFileAtomic(directory + "/" + file.name, file.bytes));
+  }
+  for (size_t i = 0; i < next.chain; ++i) {
+    repo.set_delta_digest(i, {next.files[i].size, next.files[i].crc});
+  }
+  if (written.has_value()) repo.set_checkpoint(*written);
   return next;
 }
 
@@ -705,18 +732,9 @@ std::string FormatBatchJournal(const std::vector<BatchSlotEntry>& entries) {
 /// line is the last one, so `rfind` lands on it — and a journal torn
 /// off right after an embedded crc line fails the whole-body checksum.
 Result<std::vector<BatchSlotEntry>> ParseBatchJournal(std::string_view text) {
-  const size_t crc_line = text.rfind("crc ");
-  if (crc_line == std::string::npos ||
-      (crc_line != 0 && text[crc_line - 1] != '\n')) {
-    return Status::Corruption("batch journal has no checksum line");
-  }
-  uint64_t stored_crc = 0;
-  if (!ParseHex64(Trim(text.substr(crc_line + 4)), &stored_crc)) {
-    return Status::Corruption("batch journal checksum line is malformed");
-  }
-  if (Crc64(text.substr(0, crc_line)) != stored_crc) {
-    return Status::Corruption("batch journal failed its self-checksum");
-  }
+  Result<size_t> checked = VerifyChecksumLine(text, "batch journal");
+  if (!checked.ok()) return checked.status();
+  const size_t crc_line = *checked;
 
   size_t pos = text.find('\n');
   if (pos == std::string_view::npos ||

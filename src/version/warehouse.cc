@@ -101,44 +101,30 @@ Status Warehouse::Subscribe(std::string id, std::string_view path_expression,
                             std::move(detail_contains));
 }
 
-Warehouse::Shard& Warehouse::ShardFor(const std::string& url) const {
-  return shards_[std::hash<std::string>{}(url) % kShards];
-}
-
 Warehouse::Document* Warehouse::FindDocument(const std::string& url) const {
-  Shard& shard = ShardFor(url);
-  MutexLock lock(shard.mutex);
-  auto it = shard.documents.find(url);
-  return it == shard.documents.end() ? nullptr : it->second.get();
+  MutexLock lock(documents_mutex_);
+  auto it = documents_.find(url);
+  return it == documents_.end() ? nullptr : it->second.get();
 }
 
 Warehouse::Document* Warehouse::FindOrCreateDocument(const std::string& url,
                                                      bool* created) {
-  Shard& shard = ShardFor(url);
-  MutexLock lock(shard.mutex);
-  auto it = shard.documents.find(url);
-  if (it != shard.documents.end()) {
-    *created = false;
-    return it->second.get();
+  MutexLock lock(documents_mutex_);
+  auto it = documents_.find(url);
+  *created = it == documents_.end();
+  if (*created) {
+    it = documents_.emplace(url, std::make_unique<Document>()).first;
   }
-  auto slot = std::make_unique<Document>();
-  Document* doc = slot.get();
-  shard.documents.emplace(url, std::move(slot));
-  *created = true;
-  return doc;
+  return it->second.get();
 }
 
 std::vector<std::pair<std::string, Warehouse::Document*>>
 Warehouse::SnapshotSlots() const {
   std::vector<std::pair<std::string, Document*>> slots;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const auto& [url, doc] : shard.documents) {
-      slots.emplace_back(url, doc.get());
-    }
+  MutexLock lock(documents_mutex_);
+  for (const auto& [url, doc] : documents_) {
+    slots.emplace_back(url, doc.get());
   }
-  std::sort(slots.begin(), slots.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return slots;
 }
 
@@ -162,8 +148,8 @@ Result<Warehouse::IngestReport> Warehouse::IngestInternal(
   IngestReport report;
   report.url = url;
 
-  // Find or create the per-document slot (map shape under the shard
-  // lock; per-document work under the document lock).
+  // Find or create the per-document slot (map shape under the map lock;
+  // per-document work under the document lock).
   bool created = false;
   Document* doc = FindOrCreateDocument(url, &created);
 
@@ -448,12 +434,8 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
 }
 
 size_t Warehouse::document_count() const {
-  size_t count = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    count += shard.documents.size();
-  }
-  return count;
+  MutexLock lock(documents_mutex_);
+  return documents_.size();
 }
 
 std::vector<std::string> Warehouse::urls() const {
@@ -485,7 +467,7 @@ Result<XmlDocument> Warehouse::Checkout(const std::string& url,
 std::vector<std::pair<std::string, Xid>> Warehouse::Search(
     std::string_view word) const {
   // Snapshot the slot list first: document locks are always taken
-  // WITHOUT any shard lock held (Ingest acquires doc->mutex before it
+  // WITHOUT the map lock held (Ingest acquires doc->mutex before it
   // re-enters shared state for the alerter, so nesting the other way
   // around would deadlock).
   std::vector<std::pair<std::string, Xid>> hits;
@@ -541,9 +523,9 @@ Status Warehouse::SaveGroup(std::vector<std::string> urls,
                             size_t* retries) const {
   std::sort(urls.begin(), urls.end());
   // Resolve every document BEFORE taking the first lock: FindDocument
-  // acquires a shard mutex, and calling it from inside the locking loop
-  // would nest shard acquisition under already-held document locks — the
-  // inverse of the shard -> document order used everywhere else.
+  // acquires the map mutex, and calling it from inside the locking loop
+  // would take it under already-held document locks, which no other path
+  // does.
   std::vector<Document*> docs;
   for (const std::string& url : urls) docs.push_back(FindDocument(url));
   for (Document* doc : docs) {

@@ -1,7 +1,6 @@
 #ifndef XYDIFF_VERSION_WAREHOUSE_H_
 #define XYDIFF_VERSION_WAREHOUSE_H_
 
-#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -73,9 +72,9 @@ struct PipelineStats {
 /// to the document's chain, evaluate subscriptions, feed the change
 /// statistics, and maintain the full-text index incrementally.
 ///
-/// Ingests of *different* documents are independent; the document map is
-/// sharded by URL hash so concurrent ingests only contend when their
-/// URLs share a shard. Both batch entry points spread their items over
+/// Ingests of *different* documents are independent: they share only
+/// the document map's lock, held for a lookup, never for an ingest.
+/// Both batch entry points spread their items over
 /// ParallelFor workers, one item start to finish per claim: `IngestBatch`
 /// takes pre-parsed documents; `DiffBatch` is the full crawler hand-off
 /// — raw XML text parsed, diffed and group-committed per slot (see
@@ -268,16 +267,6 @@ class Warehouse {
     std::optional<LabelCounts> labels XY_GUARDED_BY(mutex);
   };
 
-  /// The document map is split into shards locked independently, so the
-  /// map-shape lock is never a global serialization point for a batch.
-  /// Only the map *shape* is guarded — Document contents have their own
-  /// lock, always taken WITHOUT the shard lock held (see Search()).
-  struct Shard {
-    mutable Mutex mutex;
-    std::map<std::string, std::unique_ptr<Document>> documents
-        XY_GUARDED_BY(mutex);
-  };
-  static constexpr size_t kShards = 16;
   /// DiffBatch group-commit width (see PipelineOptions::save_directory).
   static constexpr size_t kGroupCommitSlots = 8;
 
@@ -311,15 +300,20 @@ class Warehouse {
                                       XmlDocument document,
                                       const Context* context = nullptr);
 
-  Shard& ShardFor(const std::string& url) const;
   Document* FindDocument(const std::string& url) const;
   /// Finds or creates the slot for `url`; sets `created`.
   Document* FindOrCreateDocument(const std::string& url, bool* created);
-  /// Snapshot of (url, slot) pairs across all shards, sorted by URL.
+  /// Snapshot of (url, slot) pairs, sorted by URL.
   std::vector<std::pair<std::string, Document*>> SnapshotSlots() const;
 
   DiffOptions options_;
-  mutable std::array<Shard, kShards> shards_;
+  // Guards the document map's *shape* only, for a lookup or an insert:
+  // Document contents have their own lock, always taken WITHOUT this one
+  // held (see Search()). Slots are never erased, so a slot pointer stays
+  // valid after unlock.
+  mutable Mutex documents_mutex_;
+  std::map<std::string, std::unique_ptr<Document>> documents_
+      XY_GUARDED_BY(documents_mutex_);
   // Parse-arena recycling across slots AND across batches: freed
   // documents return their (rewound) arenas here, so steady-state
   // pipelines stop allocating arena blocks entirely. Lives on the

@@ -1,51 +1,10 @@
 #include "xml/serializer.h"
 
-#include <sstream>
-
 #include "util/string_util.h"
 
 namespace xydiff {
 
 namespace {
-
-void AppendEscapedText(std::string_view text, std::string* out) {
-  for (char c : text) {
-    switch (c) {
-      case '&': out->append("&amp;"); break;
-      case '<': out->append("&lt;"); break;
-      case '>': out->append("&gt;"); break;
-      default: out->push_back(c);
-    }
-  }
-}
-
-void AppendEscapedAttribute(std::string_view text, std::string* out) {
-  for (char c : text) {
-    switch (c) {
-      case '&': out->append("&amp;"); break;
-      case '<': out->append("&lt;"); break;
-      case '>': out->append("&gt;"); break;
-      case '"': out->append("&quot;"); break;
-      default: out->push_back(c);
-    }
-  }
-}
-
-/// Bytes AppendEscapedText (or, with `attribute`, AppendEscapedAttribute)
-/// appends for `text`.
-size_t EscapedSize(std::string_view text, bool attribute) {
-  size_t size = text.size();
-  for (char c : text) {
-    switch (c) {
-      case '&': size += 4; break;  // &amp;
-      case '<':
-      case '>': size += 3; break;  // &lt; &gt;
-      case '"': size += attribute ? 5 : 0; break;  // &quot;
-      default: break;
-    }
-  }
-  return size;
-}
 
 /// True when text child `k` of `node` does not read back as that one
 /// node: ParseXml drops empty and whitespace-only text and merges
@@ -56,110 +15,138 @@ bool UnreadableText(const XmlNode& node, size_t k) {
          (k > 0 && node.child(k - 1)->is_text());
 }
 
+template <typename Sink>
+void Indent(int depth, Sink* out) {
+  for (int i = 0; i < depth; ++i) out->Append("  ");
+}
+
+template <typename Sink>
 void SerializeRec(const XmlNode& node, const SerializeOptions& options,
-                  int depth, std::string* out, const XmlNode** unreadable) {
+                  int depth, Sink* out, const XmlNode** unreadable) {
   if (node.is_text()) {
-    if (options.pretty) {
-      out->append(static_cast<size_t>(depth) * 2, ' ');
-    }
-    AppendEscapedText(node.text(), out);
-    if (options.pretty) out->push_back('\n');
+    if (options.pretty) Indent(depth, out);
+    WriteEscaped(node.text(), /*attribute=*/false, out);
+    if (options.pretty) out->Append('\n');
     return;
   }
-  if (options.pretty) out->append(static_cast<size_t>(depth) * 2, ' ');
-  out->push_back('<');
-  out->append(node.label());
+  if (options.pretty) Indent(depth, out);
+  out->Append('<');
+  out->Append(node.label());
   for (const auto& attr : node.attributes()) {
-    out->push_back(' ');
-    out->append(attr.name);
-    out->append("=\"");
-    AppendEscapedAttribute(attr.value, out);
-    out->push_back('"');
+    out->Append(' ');
+    out->Append(attr.name);
+    out->Append("=\"");
+    WriteEscaped(attr.value, /*attribute=*/true, out);
+    out->Append('"');
   }
   if (options.emit_xids && node.xid() != kNoXid) {
-    out->append(" xy:xid=\"");
-    out->append(std::to_string(node.xid()));
-    out->push_back('"');
+    out->Append(" xy:xid=\"");
+    out->Append(std::to_string(node.xid()));
+    out->Append('"');
   }
   if (node.child_count() == 0) {
-    out->append("/>");
-    if (options.pretty) out->push_back('\n');
+    out->Append("/>");
+    if (options.pretty) out->Append('\n');
     return;
   }
   // Pretty mode keeps text-only content inline so that whitespace is not
   // injected into character data.
-  bool text_only = true;
-  for (size_t i = 0; i < node.child_count(); ++i) {
-    if (!node.child(i)->is_text()) {
-      text_only = false;
-      break;
+  bool multiline = false;
+  if (options.pretty) {
+    for (size_t i = 0; i < node.child_count() && !multiline; ++i) {
+      multiline = !node.child(i)->is_text();
     }
   }
-  const bool multiline = options.pretty && !text_only;
-  out->push_back('>');
-  if (multiline) out->push_back('\n');
+  out->Append('>');
+  if (multiline) out->Append('\n');
   for (size_t i = 0; i < node.child_count(); ++i) {
     if (unreadable != nullptr && *unreadable == nullptr &&
         node.child(i)->is_text() && UnreadableText(node, i)) {
       *unreadable = node.child(i);
     }
     if (options.pretty && !multiline) {
-      AppendEscapedText(node.child(i)->text(), out);
+      WriteEscaped(node.child(i)->text(), /*attribute=*/false, out);
     } else {
       SerializeRec(*node.child(i), options, depth + 1, out, unreadable);
     }
   }
-  if (multiline) out->append(static_cast<size_t>(depth) * 2, ' ');
-  out->append("</");
-  out->append(node.label());
-  out->push_back('>');
-  if (options.pretty) out->push_back('\n');
+  if (multiline) Indent(depth, out);
+  out->Append("</");
+  out->Append(node.label());
+  out->Append('>');
+  if (options.pretty) out->Append('\n');
 }
 
 }  // namespace
 
+template <typename Sink>
+void WriteEscaped(std::string_view text, bool attribute, Sink* sink) {
+  size_t plain = 0;  // Start of the run not yet written.
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '&' && c != '<' && c != '>' && (c != '"' || !attribute)) {
+      continue;
+    }
+    sink->Append(text.substr(plain, i - plain));
+    switch (c) {
+      case '&': sink->Append("&amp;"); break;
+      case '<': sink->Append("&lt;"); break;
+      case '>': sink->Append("&gt;"); break;
+      default: sink->Append("&quot;"); break;
+    }
+    plain = i + 1;
+  }
+  sink->Append(text.substr(plain));
+}
+
+template <typename Sink>
+void WriteNode(const XmlNode& node, Sink* sink) {
+  SerializeRec(node, SerializeOptions(), 0, sink, nullptr);
+}
+
+template void WriteEscaped(std::string_view, bool, StringSink*);
+template void WriteEscaped(std::string_view, bool, CountingSink*);
+template void WriteNode(const XmlNode&, StringSink*);
+template void WriteNode(const XmlNode&, CountingSink*);
+
 std::string EscapeText(std::string_view text) {
   std::string out;
-  out.reserve(text.size());
-  AppendEscapedText(text, &out);
+  StringSink sink(&out);
+  WriteEscaped(text, /*attribute=*/false, &sink);
   return out;
 }
 
 std::string EscapeAttribute(std::string_view text) {
   std::string out;
-  out.reserve(text.size());
-  AppendEscapedAttribute(text, &out);
+  StringSink sink(&out);
+  WriteEscaped(text, /*attribute=*/true, &sink);
   return out;
 }
 
 size_t EscapedTextSize(std::string_view text) {
-  return EscapedSize(text, /*attribute=*/false);
+  CountingSink count;
+  WriteEscaped(text, /*attribute=*/false, &count);
+  return count.size();
 }
 
 size_t EscapedAttributeSize(std::string_view text) {
-  return EscapedSize(text, /*attribute=*/true);
+  CountingSink count;
+  WriteEscaped(text, /*attribute=*/true, &count);
+  return count.size();
 }
 
 size_t SerializedNodeSize(const XmlNode& node) {
-  // Mirrors SerializeRec with default options.
-  if (node.is_text()) return EscapedTextSize(node.text());
-  size_t size = 1 + node.label().size();  // <label
-  for (const auto& attr : node.attributes()) {
-    size += attr.name.size() + EscapedAttributeSize(attr.value) + 4;
-  }
-  if (node.child_count() == 0) return size + 2;  // />
-  size += 1 + 2 + node.label().size() + 1;        // > </label>
-  for (size_t i = 0; i < node.child_count(); ++i) {
-    size += SerializedNodeSize(*node.child(i));
-  }
-  return size;
+  CountingSink count;
+  WriteNode(node, &count);
+  return count.size();
 }
 
 std::string SerializeNode(const XmlNode& node,
                           const SerializeOptions& options) {
   std::string out;
   out.reserve(node.SubtreeSize() * 24);  // Rough tag + content estimate.
-  SerializeRec(node, options, 0, &out, nullptr);
+  StringSink sink(&out);
+  SerializeRec(node, options, 0, &sink, nullptr);
   return out;
 }
 
@@ -198,7 +185,8 @@ std::string SerializeDocument(const XmlDocument& doc,
   }
   if (options.doctype) out.append(SerializeDoctype(doc));
   if (doc.root() != nullptr) {
-    SerializeRec(*doc.root(), options, 0, &out, unreadable);
+    StringSink sink(&out);
+    SerializeRec(*doc.root(), options, 0, &sink, unreadable);
   }
   return out;
 }

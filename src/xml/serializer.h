@@ -2,6 +2,7 @@
 #define XYDIFF_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/document.h"
 #include "xml/node.h"
@@ -46,13 +47,43 @@ std::string EscapeText(std::string_view text);
 /// Escapes an attribute value for double-quoted output: & < > ".
 std::string EscapeAttribute(std::string_view text);
 
-/// Exactly EscapeText(text).size() and EscapeAttribute(text).size(),
-/// counted without building the string.
+/// Where the writers below put their output: StringSink appends the
+/// text to a string, CountingSink keeps only its length. Every writer
+/// serves both, so a count is the length of the text by construction.
+class StringSink {
+ public:
+  explicit StringSink(std::string* out) : out_(out) {}
+  void Append(std::string_view text) { out_->append(text); }
+  void Append(char c) { out_->push_back(c); }
+
+ private:
+  std::string* out_;
+};
+
+class CountingSink {
+ public:
+  void Append(std::string_view text) { size_ += text.size(); }
+  void Append(char) { ++size_; }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+/// Writes `text` as EscapeText does or, with `attribute`, as
+/// EscapeAttribute does. Instantiated for both sinks.
+template <typename Sink>
+void WriteEscaped(std::string_view text, bool attribute, Sink* sink);
+
+/// Writes `node` as SerializeNode does under default (compact) options.
+/// Instantiated for both sinks.
+template <typename Sink>
+void WriteNode(const XmlNode& node, Sink* sink);
+
+/// Exactly EscapeText(text).size(), EscapeAttribute(text).size() and
+/// SerializeNode(node).size(): the same writers into a CountingSink.
 size_t EscapedTextSize(std::string_view text);
 size_t EscapedAttributeSize(std::string_view text);
-
-/// Exactly SerializeNode(node).size() under default (compact) options,
-/// counted without building the string.
 size_t SerializedNodeSize(const XmlNode& node);
 
 }  // namespace xydiff

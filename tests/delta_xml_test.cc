@@ -293,5 +293,46 @@ TEST(DeltaXmlTest, SizeCounterMatchesSimulatedDeltas) {
   EXPECT_GT(checked, 0u);
 }
 
+/// The pretty form, byte for byte: one compact operation per line.
+TEST(DeltaXmlTest, PrettyFormIsPinned) {
+  Delta delta;
+  delta.set_old_next_xid(9);
+  delta.set_new_next_xid(13);
+  delta.deletes().emplace_back(5, 1, 1, Snapshot("d", "v", "t", 4, 5));
+  delta.inserts().emplace_back(12, 2, 3,
+                               Snapshot("i", "a&\"", "<b>", 10, 12));
+  delta.moves().push_back(MoveOp{3, 1, 7, 2, 1});
+  delta.updates().push_back(UpdateOp{6, "a & \"b\" <>", "", 2, 1});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kInsert, 4, "lang", "", "en"});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kDelete, 4, "id", "x<7>", ""});
+  delta.attribute_ops().push_back(
+      AttributeOp{AttributeOpKind::kUpdate, 4, "class", "a", "b&c\""});
+  EXPECT_EQ(SerializeDelta(delta, /*pretty=*/true),
+            "<xy:delta oldNextXid=\"9\" newNextXid=\"13\">\n"
+            "  <xy:delete xid=\"5\" parentXid=\"1\" pos=\"1\" "
+            "xidMap=\"(4-5)\"><d a=\"v\">t</d></xy:delete>\n"
+            "  <xy:insert xid=\"12\" parentXid=\"2\" pos=\"3\" "
+            "xidMap=\"(10;12)\"><i a=\"a&amp;&quot;\">&lt;b&gt;</i>"
+            "</xy:insert>\n"
+            "  <xy:move xid=\"3\" fromParent=\"1\" fromPos=\"7\" "
+            "toParent=\"2\" toPos=\"1\"/>\n"
+            "  <xy:update xid=\"6\" prefix=\"2\" suffix=\"1\">"
+            "<xy:old>a &amp; \"b\" &lt;&gt;</xy:old><xy:new/></xy:update>\n"
+            "  <xy:attr-insert xid=\"4\" name=\"lang\" value=\"en\"/>\n"
+            "  <xy:attr-delete xid=\"4\" name=\"id\" "
+            "value=\"x&lt;7&gt;\"/>\n"
+            "  <xy:attr-update xid=\"4\" name=\"class\" old=\"a\" "
+            "new=\"b&amp;c&quot;\"/>\n"
+            "</xy:delta>\n");
+
+  Delta empty;
+  empty.set_old_next_xid(4);
+  empty.set_new_next_xid(4);
+  EXPECT_EQ(SerializeDelta(empty, /*pretty=*/true),
+            "<xy:delta oldNextXid=\"4\" newNextXid=\"4\"/>\n");
+}
+
 }  // namespace
 }  // namespace xydiff

@@ -705,11 +705,14 @@ TEST_F(StorageTest, ACheckpointThatWouldNotReloadIsNeverWritten) {
   XmlDocument saved = repo.current().Clone();
   int saved_version = 1;
   Status refused;
+  Result<std::vector<std::string>> before = Env::Default()->ListDir(store);
   for (int v = 0; v < 40 && refused.ok(); ++v) {
     Result<SimulatedChange> change =
         SimulateChanges(repo.current(), SmallChanges(), &rng);
     ASSERT_TRUE(change.ok());
     ASSERT_TRUE(repo.Commit(std::move(change->new_version)).ok());
+    before = Env::Default()->ListDir(store);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
     refused = SaveRepository(repo, store);
     if (refused.ok()) {
       saved = repo.current().Clone();
@@ -718,13 +721,18 @@ TEST_F(StorageTest, ACheckpointThatWouldNotReloadIsNeverWritten) {
   }
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused.ToString();
+  // The refused save wrote nothing, not even the new delta.
+  Result<std::vector<std::string>> after = Env::Default()->ListDir(store);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, *before);
   Result<VersionRepository> loaded = LoadRepository(store);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->current_version(), saved_version);
   EXPECT_TRUE(DocsEqualWithXids(loaded->current(), saved));
   // A fresh store has no checkpoint to carry, so it refuses too.
-  EXPECT_EQ(SaveRepository(repo, Dir() + "/fresh").code(),
-            StatusCode::kInvalidArgument);
+  const std::string fresh = Dir() + "/fresh";
+  EXPECT_EQ(SaveRepository(repo, fresh).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(!fs::exists(fresh) || fs::is_empty(fresh));
 }
 
 TEST_F(StorageTest, GroupCommitsCarryOneCheckpointUntilTheDeltasOutgrowIt) {
